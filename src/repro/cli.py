@@ -452,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "whenever the engine is kernel")
     b.add_argument("--workers", type=int, default=None,
                    help="process-pool width (default: in-process; the fleet "
-                        "backend shards the batch across workers)")
+                        "backend streams the batch through the supervised "
+                        "pool)")
     b.add_argument("--stream", metavar="JSONL",
                    help="stream chains from a JSONL file of position lists "
                         "('-' reads stdin) through a bounded arena instead "

@@ -91,7 +91,7 @@ def decide_run(run, window: ChainWindow, params: Parameters,
     # endpoint guard and an oncoming run in view the verdict would be
     # discarded anyway, so the scan and the grammar parse are skipped;
     # otherwise one bulk edge-code scan serves the grammar and the
-    # operation shape checks below (measured hot path, see bench_engines)
+    # operation shape checks below (measured hot path, timed by EXP-P1)
     if params.endpoint_guard and oncoming_far is not None:
         ahead = None
     else:

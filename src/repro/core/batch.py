@@ -36,20 +36,25 @@ one-shot to pipeline: :meth:`BatchSimulator.run_stream` /
 at a bounded slot occupancy — retired slots are reclaimed for the
 next admissions — and yield ``(index, result)`` pairs as chains
 finish, so a million-chain sweep runs in constant memory.  With
-``workers >= 2`` the stream shards round-robin across a process pool,
-each worker running its own bounded kernel; per-chain results are
-bit-identical to :func:`gather_batch` either way.
+``workers >= 2`` the stream shards round-robin across the supervised
+process pool (:mod:`repro.core.supervisor`, DESIGN.md §2.13), each
+worker running its own bounded kernel, dead workers respawned and
+their chunks re-dispatched; per-chain results are bit-identical to
+:func:`gather_batch` either way.
 
 ``backend="auto"`` (the default) picks ``"fleet"`` whenever the
-engine is ``"kernel"``.  With ``workers > 1`` either backend
-distributes over a process pool (simulations are pure CPU-bound
-Python, so processes — not threads — are the scaling unit): the fleet
-backend shards the batch into one sub-fleet per worker, composing the
-two tiers.  Jobs are self-contained ``(positions, params, …)`` tuples
-and results are plain dataclasses, so nothing but the standard
-pickling machinery is involved; ``keep_reports=False`` strips the
-per-round reports before results cross the process boundary, which
-bounds IPC for large sweeps that only need the aggregate outcome.
+engine is ``"kernel"``.  A multi-process kernel batch is a stream:
+with ``workers >= 2`` on the fleet backend, and on every shm run,
+:meth:`BatchSimulator.run` is :meth:`~BatchSimulator.run_stream` over
+the batch with one slot per chain, collected in input order, so
+batches get the stream's crash recovery.  The process backend
+distributes one-chain jobs over a plain process pool (simulations are
+pure CPU-bound Python, so processes — not threads — are the scaling
+unit).  Jobs are self-contained ``(positions, params, …)`` tuples and
+results are plain dataclasses, so nothing but the standard pickling
+machinery is involved; ``keep_reports=False`` strips the per-round
+reports before results cross the process boundary, which bounds IPC
+for large sweeps that only need the aggregate outcome.
 
 See DESIGN.md §3 for how this layer relates to the single-chain
 :class:`~repro.core.simulator.Simulator`.
@@ -73,10 +78,6 @@ BACKENDS = ("auto", "fleet", "process", "shm")
 #: One batch job: everything a worker needs to gather one chain.
 _Job = Tuple[List[tuple], Parameters, str, bool, Optional[int], bool, bool]
 
-#: One fleet shard: everything a worker needs to gather a sub-fleet.
-_FleetJob = Tuple[List[List[tuple]], Parameters, bool, Optional[int], bool,
-                  bool]
-
 
 def _gather_job(job: _Job) -> GatheringResult:
     """Run one gathering simulation (top-level: must pickle for pools)."""
@@ -91,8 +92,8 @@ def _gather_job(job: _Job) -> GatheringResult:
     return result
 
 
-def _pool_result(fut, worker: int, shard_positions, offset: int):
-    """Unwrap a one-shot pool future, lifting worker deaths and broken
+def _pool_result(fut, index: int) -> GatheringResult:
+    """Unwrap a one-chain pool future, lifting worker deaths and broken
     result pipes into the :class:`~repro.errors.WorkerCrashError`
     taxonomy so callers can catch one base class (``ReproError``)."""
     from concurrent.futures import BrokenExecutor
@@ -100,24 +101,10 @@ def _pool_result(fut, worker: int, shard_positions, offset: int):
         return fut.result()
     except (BrokenExecutor, EOFError, OSError) as exc:
         from repro.errors import WorkerCrashError
-        n = len(shard_positions)
         raise WorkerCrashError(
-            f"pool worker died gathering chains "
-            f"[{offset}..{offset + n - 1}]: {type(exc).__name__}: {exc}",
-            worker=worker,
-            indices=list(range(offset, offset + n))) from exc
-
-
-def _fleet_job(job: _FleetJob) -> List[GatheringResult]:
-    """Gather one fleet shard in-process (top-level: must pickle)."""
-    (positions, params, check_invariants, max_rounds, validate_initial,
-     keep_reports) = job
-    from repro.core.engine_fleet import FleetKernel
-    fleet = FleetKernel(positions, params=params,
-                        check_invariants=check_invariants,
-                        keep_reports=keep_reports,
-                        validate_initial=validate_initial)
-    return fleet.run(max_rounds=max_rounds)
+            f"pool worker died gathering chain {index}: "
+            f"{type(exc).__name__}: {exc}",
+            worker=-1, indices=[index]) from exc
 
 
 @dataclass
@@ -196,8 +183,9 @@ class BatchSimulator:
         Per-round invariant checking for every simulation (slow).
     workers:
         Process count.  ``None`` or ``1`` runs in-process; ``>= 2``
-        distributes over a ``concurrent.futures`` process pool (the
-        fleet backend shards the batch into one sub-fleet per worker).
+        distributes over worker processes (the fleet backend streams
+        the batch through the supervised pool, the process backend
+        runs one chain per ``concurrent.futures`` job).
     keep_reports:
         Keep per-round :class:`RoundReport` lists on each result.  Turn
         off for large sweeps that only need aggregate outcomes (and to
@@ -273,18 +261,23 @@ class BatchSimulator:
         """Gather the whole fleet and return per-chain results in order.
 
         ``progress`` is called as ``progress(completed, total)`` as
-        chains finish (per retirement batch on the fleet backend, per
-        completed simulation on the process backend).
+        chains finish (per retirement batch on the in-process fleet
+        backend, per completed chain otherwise).
         """
         t0 = time.perf_counter()
         total = len(self.positions)
         workers = min(self.workers, total) if total else 1
-        if self.backend == "fleet":
-            results = self._run_fleet(max_rounds, workers, progress, total)
-        elif self.backend == "shm":
-            results = self._run_shm(max_rounds, progress, total)
-        else:
+        if self.backend == "process":
             results = self._run_process(max_rounds, workers, progress, total)
+        elif self.backend == "fleet" and workers <= 1:
+            from repro.core.engine_fleet import FleetKernel
+            fleet = FleetKernel(self.positions, params=self.params,
+                                check_invariants=self.check_invariants,
+                                keep_reports=self.keep_reports,
+                                validate_initial=self.validate_initial)
+            results = fleet.run(max_rounds=max_rounds, progress=progress)
+        else:
+            results = self._run_streamed(max_rounds, progress, total)
         return BatchResult(results=results,
                            wall_time=time.perf_counter() - t0,
                            workers=workers)
@@ -526,59 +519,19 @@ class BatchSimulator:
                               stats=stats, shard_cells=shard_cells)
 
     # ------------------------------------------------------------------
-    def _run_shm(self, max_rounds: Optional[int],
-                 progress: Optional[Callable[[int, int], None]],
-                 total: int) -> List[GatheringResult]:
-        """Shm backend one-shot: stream the batch, reassemble in order."""
-        if self.keep_reports:
-            raise ValueError(
-                "backend='shm' cannot keep per-round reports; "
-                "set keep_reports=False")
+    def _run_streamed(self, max_rounds: Optional[int],
+                      progress: Optional[Callable[[int, int], None]],
+                      total: int) -> List[GatheringResult]:
+        """Multi-process kernel batch: stream it with one slot per
+        chain and reassemble the results in input order."""
         results: List[Optional[GatheringResult]] = [None] * total
-        if total == 0:
-            return []
         done = 0
-        for idx, res in self._stream_shm(iter(self.positions), max(1, total),
-                                         max_rounds, None):
+        for idx, res in self.run_stream((), slots=max(1, total),
+                                        max_rounds=max_rounds):
             results[idx] = res
             done += 1
             if progress is not None:
                 progress(done, total)
-        return results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    def _run_fleet(self, max_rounds: Optional[int], workers: int,
-                   progress: Optional[Callable[[int, int], None]],
-                   total: int) -> List[GatheringResult]:
-        """Fleet backend: shared arrays in-process, shards across workers."""
-        if workers <= 1:
-            from repro.core.engine_fleet import FleetKernel
-            fleet = FleetKernel(self.positions, params=self.params,
-                                check_invariants=self.check_invariants,
-                                keep_reports=self.keep_reports,
-                                validate_initial=self.validate_initial)
-            return fleet.run(max_rounds=max_rounds, progress=progress)
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-        shard_size = (total + workers - 1) // workers
-        shards = [self.positions[i:i + shard_size]
-                  for i in range(0, total, shard_size)]
-        jobs: List[_FleetJob] = [
-            (shard, self.params, self.check_invariants, max_rounds,
-             self.validate_initial, self.keep_reports) for shard in shards]
-        results: List[Optional[GatheringResult]] = [None] * total
-        offsets = [i * shard_size for i in range(len(shards))]
-        done = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_fleet_job, job): k
-                       for k, job in enumerate(jobs)}
-            for fut in as_completed(futures):
-                k = futures[fut]
-                shard_results = _pool_result(fut, k, jobs[k][0], offsets[k])
-                results[offsets[k]:offsets[k] + len(shard_results)] = \
-                    shard_results
-                done += len(shard_results)
-                if progress is not None:
-                    progress(done, total)
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
@@ -607,7 +560,7 @@ class BatchSimulator:
                 done = 0
                 for fut in as_completed(futures):
                     k = futures[fut]
-                    results[k] = _pool_result(fut, -1, [jobs[k][0]], k)
+                    results[k] = _pool_result(fut, k)
                     done += 1
                     progress(done, total)
                 return results  # type: ignore[return-value]

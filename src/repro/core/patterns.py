@@ -173,7 +173,7 @@ def _axis_of(v: Vec) -> str:
 #: Unit edge -> direction code (parity of the code gives the axis);
 #: ``-1`` marks a zero edge, missing entries are diagonals.  The grammar
 #: below parses integer codes instead of vector tuples because the
-#: endpoint scan runs for every live run every round (see bench_engines).
+#: endpoint scan runs for every live run every round.
 _VEC_TO_CODE = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3, (0, 0): -1}
 
 _DIAGONAL = -2

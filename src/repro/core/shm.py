@@ -205,79 +205,6 @@ def _close_seg(shm: shared_memory.SharedMemory) -> None:
             shm._fd = -1
 
 
-def _segment_views(cap: int):
-    """A private shared segment holding one arena's cell buffers."""
-    words = _cell_words(cap)
-    shm = shared_memory.SharedMemory(create=True, size=max(words * 8, 8))
-    arr = np.frombuffer(shm.buf, dtype=np.int64, count=words)
-    o = (cap + 1) * 2
-    views = {"pos": arr[:o].reshape(cap + 1, 2),
-             "codes": arr[o:o + cap],
-             "ids": arr[o + cap:o + 2 * cap],
-             "index": arr[o + 2 * cap:o + 3 * cap],
-             "owner": arr[o + 3 * cap:o + 4 * cap]}
-    return shm, views
-
-
-class ShmArena(ChainArena):
-    """A :class:`ChainArena` whose cell buffers live in one private
-    shared-memory segment.
-
-    Unlike a slab-backed shard arena (fixed region, parent-owned
-    allocator, ``grow()`` refuses), this arena owns its segment
-    outright and supports the full lifecycle — admit, retire, compact
-    *and* grow: growth allocates a larger segment, copies the live
-    prefix, re-points every chain view and unlinks the old segment.
-    Call :meth:`unlink` when done (or let the resource tracker sweep
-    it on process death).
-    """
-
-    __slots__ = ("_seg",)
-
-    def __init__(self, chains=(), capacity: int = 0):
-        objs = [c if isinstance(c, ClosedChain) else ClosedChain(c)
-                for c in chains]
-        cap = max(int(capacity), sum(c.n for c in objs))
-        self._seg, views = _segment_views(cap)
-        super().__init__(objs, capacity=cap, buffers=views)
-        self._fixed = False        # growth is supported: segment swap
-
-    def grow(self, min_capacity: int) -> None:
-        old = self.span
-        cap = max(int(min_capacity), old)
-        if cap == old:
-            return
-        seg, v = _segment_views(cap)
-        v["pos"][:old] = self.pos[:old]
-        v["codes"][:old] = self.codes
-        v["ids"][:old] = self.ids
-        v["index"][:old] = self.index
-        v["index"][old:] = -1
-        v["owner"][:old] = self.owner
-        v["owner"][old:] = -1
-        self.pos = v["pos"]
-        self.codes = v["codes"]
-        self.ids = v["ids"]
-        self.index = v["index"]
-        self.owner = v["owner"]
-        self._release_slot(old, cap - old)
-        for ci in self.live_indices().tolist():
-            self._repoint(ci)
-        self._topo_dirty = True
-        old_seg, self._seg = self._seg, seg
-        _close_seg(old_seg)
-        old_seg.unlink()
-
-    def close(self) -> None:
-        _close_seg(self._seg)
-
-    def unlink(self) -> None:
-        try:
-            self._seg.unlink()
-        except FileNotFoundError:
-            pass
-
-
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------

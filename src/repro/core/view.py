@@ -135,7 +135,7 @@ class ChainWindow:
         resp. against ``direction`` (``None`` when absent).  Semantically
         identical to probing :meth:`run_directions_at` offset by offset;
         implemented as one pass because this scan dominates the round
-        cost (see bench_engines).
+        cost of the per-run policy engines (timed by EXP-P1).
         """
         self._check(limit * direction)
         n = self._n

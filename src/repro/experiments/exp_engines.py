@@ -4,7 +4,8 @@ Not a paper artifact, but a reproduction-quality requirement: the
 NumPy-vectorised and array-native kernel engines must be behaviourally
 identical to the reference engine (checked trace-by-trace here and
 property-tested in the test suite) and measurably faster on large
-chains (benchmarked in ``benchmarks/bench_engines.py``).
+chains (timed per engine below; the kernel's end-to-end throughput is
+tracked by ``perfbench/``).
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ can pipeline submissions while results stream back concurrently.
         async for frame in cli.results(expect=len(chains)):
             ...
 
-The protocol + load test suites and :mod:`scripts.load_harness` drive
-the service exclusively through this class, so it doubles as the
-reference protocol implementation.
+The protocol and fairness test suites drive the service exclusively
+through this class, so it doubles as the reference protocol
+implementation.
 """
 
 from __future__ import annotations

@@ -172,3 +172,19 @@ class TestProcessPool:
     def test_workers_capped_by_fleet_size(self):
         batch = gather_batch([square_ring(8)], workers=8)
         assert batch.workers == 1
+
+    def test_worker_kill_recovered(self, tmp_path, monkeypatch):
+        # a multi-worker batch runs on the supervised pool: a SIGKILLed
+        # worker is respawned and its chunk re-dispatched, so the batch
+        # still equals the in-process run bit for bit
+        from repro.core.supervisor import KILL_SPEC_ENV
+        chains = _fleet((8, 10, 12, 14))
+        serial = gather_batch(chains, workers=1)
+        counter = tmp_path / "kills"
+        counter.write_text("1")
+        monkeypatch.setenv(KILL_SPEC_ENV, f"{counter}:1")
+        sim = BatchSimulator(chains, workers=2)
+        parallel = sim.run()
+        assert [_result_key(r) for r in parallel] == \
+            [_result_key(r) for r in serial]
+        assert sim.last_stream_stats["worker_crashes"] >= 1

@@ -95,9 +95,10 @@ class TestWireBasics:
     def test_tcp_results_bit_identical_to_run_stream(self):
         chains = [RING8, RING12, RING8, outline(random_polyomino(9)),
                   RING12, RING8]
+        slots = 4
 
         async def main():
-            async with _Service(slots=4) as ctx:
+            async with _Service(slots=slots) as ctx:
                 for c in chains:
                     ack = await ctx.client.submit(c)
                     assert ack["status"] == "queued"
@@ -108,9 +109,12 @@ class TestWireBasics:
                     frames[fr["chain"]] = {
                         k: fr[k] for k in ("chain", "n", "rounds",
                                            "gathered", "rounds_per_robot")}
-                return frames
-        frames = run(main())
-        assert frames == stream_reference(chains)
+            return frames, ctx.service.sim.last_stream_stats
+        frames, stats = run(main())
+        assert frames == stream_reference(chains, slots=slots)
+        # occupancy stays inside the slot budget end to end
+        assert stats["peak_live_chains"] <= slots
+        assert stats["peak_cells"] <= slots * max(len(c) for c in chains)
 
     def test_seq_maps_submissions_to_results(self):
         async def main():

@@ -1,7 +1,6 @@
 """The zero-copy shared-memory shard tier (DESIGN.md §2.16).
 
 Covers the slab primitives (:class:`FleetSlab` region/ledger views,
-:class:`ShmArena` lifecycle with segment-swap growth,
 :meth:`ChainArena.adopt_slots` coherence), the shard scheduler's
 conformance guarantee — ``backend="shm"`` is bit-identical to
 ``backend="fleet"`` per external stream index, under mixed sizes,
@@ -15,7 +14,6 @@ shard set; the results ledger completes exactly-once).
 import glob
 import json
 import os
-import random
 import signal
 import subprocess
 import sys
@@ -24,7 +22,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.chains import square_ring
 from repro.core.arena import ChainArena
@@ -33,7 +30,7 @@ from repro.core.chain import ClosedChain
 from repro.core.engine_fleet import FleetKernel
 from repro.core.faults import FaultPlan
 from repro.core.results import ChainOutcome
-from repro.core.shm import FleetSlab, ShmArena, shm_stream
+from repro.core.shm import FleetSlab, shm_stream
 from repro.core.supervisor import KILL_SPEC_ENV
 from repro.errors import WorkerCrashError
 
@@ -140,77 +137,6 @@ class TestFleetSlab:
         finally:
             slab.close()
             slab.unlink()
-
-
-class TestShmArena:
-    def test_grow_swaps_segment_and_preserves_content(self):
-        a = ShmArena([square_ring(3)], capacity=16)
-        try:
-            old_name = a._seg.name
-            a.grow(256)
-            assert a.span == 256
-            assert a._seg.name != old_name
-            assert a.chains[0].positions == [tuple(p)
-                                             for p in square_ring(3)]
-            assert_arena_coherent(a)
-        finally:
-            a.close()
-            a.unlink()
-
-    @needs_dev_shm
-    def test_unlink_removes_segment(self):
-        before = shm_segments()
-        a = ShmArena([square_ring(3)], capacity=16)
-        a.grow(64)                     # old segment unlinked by the swap
-        a.close()
-        a.unlink()
-        assert shm_segments() == before
-
-    @settings(deadline=None, max_examples=25)
-    @given(st.data())
-    def test_random_lifecycle_cycles(self, data):
-        """Admit/retire/compact/grow cycles on the shm-backed arena
-        keep every structural invariant and every chain view coherent
-        with the shared cells — including across segment swaps."""
-        rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
-        sizes = [6, 8, 10, 14]
-        arena = ShmArena([square_ring(rng.choice(sizes))
-                          for _ in range(data.draw(st.integers(1, 4)))])
-        try:
-            live = set(range(len(arena.chains)))
-            ops = data.draw(st.lists(
-                st.sampled_from(["retire", "admit", "compact", "grow"]),
-                min_size=1, max_size=20))
-            for op in ops:
-                if op == "retire" and live:
-                    ci = rng.choice(sorted(live))
-                    live.discard(ci)
-                    arena.retire(ci)
-                elif op == "admit":
-                    chain = ClosedChain(square_ring(rng.choice(sizes)))
-                    ci = arena.admit(chain)
-                    if ci < 0 and arena.free_cells >= chain.n:
-                        arena.compact()
-                        ci = arena.admit(chain)
-                    if ci < 0:
-                        arena.grow(arena.span + chain.n)
-                        ci = arena.admit(chain)
-                    assert ci >= 0
-                    live.add(ci)
-                elif op == "compact":
-                    arena.compact()
-                elif op == "grow":
-                    arena.grow(arena.span + rng.choice(sizes))
-                assert_arena_coherent(arena)
-                for ci in sorted(live):
-                    b = int(arena.base[ci])
-                    n = int(arena.length[ci])
-                    assert arena.chains[ci].positions == \
-                        [tuple(p) for p in arena.pos[b:b + n].tolist()]
-            assert sorted(live) == arena.live_indices().tolist()
-        finally:
-            arena.close()
-            arena.unlink()
 
 
 # ---------------------------------------------------------------------------
