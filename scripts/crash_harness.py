@@ -3,7 +3,7 @@
 
 Proves the durability contract of DESIGN.md §2.12 and the supervision
 contract of §2.13 end to end, through the real CLI and real process
-death.  Four modes:
+death.  Five modes:
 
 ``cli-kill`` (default)
     SIGKILL the whole CLI process at seeded WAL rounds, ``--resume``
@@ -31,14 +31,13 @@ death.  Four modes:
     ledger (never abort the stream), and the good chains' results
     must match the clean run's under the index remap.
 
-``shm-kill``
-    Run the zero-copy slab tier (``--backend shm --workers --wal``,
-    §2.16) and SIGKILL individual *shard workers* at seeded shard-WAL
-    rounds.  The parent must salvage published ledger rows, respawn
-    the shard over the same slab region and replay the survivors: the
-    run completes rc=0 with zero lost or duplicated results, per-chain
-    output identical to the single-worker run's, and zero leaked
-    ``/dev/shm`` segments after exit.
+``shard-kill``
+    Run ``repro serve --workers --wal`` (the shard tier, §2.16), submit
+    the stream over TCP and SIGKILL individual *shard workers* at
+    seeded shard-WAL rounds.  The service must respawn each shard and
+    re-feed its in-flight chains: it exits rc=0 after the feeder's
+    shutdown, with every chain exactly once in ``results.ndjson`` and
+    rows identical to a clean ``--workers 1`` service run's.
 
 Exit status 0 iff the mode's contract held.
 
@@ -58,6 +57,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -76,8 +76,7 @@ def make_stream(path: str, chains: int, seed: int) -> None:
 
 def batch_cmd(jsonl: str, out: str, slots: int, wal: str | None,
               resume: bool = False, workers: int | None = None,
-              dead_letter: str | None = None,
-              backend: str | None = None) -> list:
+              dead_letter: str | None = None) -> list:
     cmd = [sys.executable, "-m", "repro.cli", "batch", "--stream", jsonl,
            "--slots", str(slots), "--out", out, "--snapshot-every", "16"]
     if wal:
@@ -88,8 +87,6 @@ def batch_cmd(jsonl: str, out: str, slots: int, wal: str | None,
         cmd += ["--workers", str(workers)]
     if dead_letter:
         cmd += ["--dead-letter", dead_letter]
-    if backend:
-        cmd += ["--backend", backend]
     return cmd
 
 
@@ -126,9 +123,9 @@ def shard_round(wal_dir: str) -> int:
 
 
 def child_pids(pid: int) -> list:
-    """Direct children of ``pid`` (via /proc), minus the multiprocessing
-    resource tracker — killing workers is the test, killing the tracker
-    is just noise."""
+    """Live direct children of ``pid`` (via /proc), minus zombies
+    awaiting their reaper and the multiprocessing resource tracker —
+    killing workers is the test, killing the tracker is just noise."""
     kids = []
     for entry in os.listdir("/proc"):
         if not entry.isdigit():
@@ -136,8 +133,8 @@ def child_pids(pid: int) -> list:
         try:
             with open(f"/proc/{entry}/stat", "rb") as fh:
                 stat = fh.read()
-            ppid = int(stat[stat.rfind(b")") + 2:].split()[1])
-            if ppid != pid:
+            state, ppid = stat[stat.rfind(b")") + 2:].split()[:2]
+            if int(ppid) != pid or state == b"Z":
                 continue
             with open(f"/proc/{entry}/cmdline", "rb") as fh:
                 cmd = fh.read()
@@ -245,12 +242,15 @@ def mode_cli_kill(args, tmp: str, jsonl: str, env: dict) -> int:
 # ----------------------------------------------------------------------
 # mode: service-kill (§2.15 service WAL resume)
 # ----------------------------------------------------------------------
-def start_service(wal: str, slots: int, env: dict, resume: bool):
+def start_service(wal: str, slots: int, env: dict, resume: bool,
+                  workers: int | None = None):
     """Launch ``repro serve`` on an ephemeral port; return (proc, port)."""
     cmd = [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
            "--slots", str(slots), "--wal", wal, "--snapshot-every", "16"]
     if resume:
         cmd.append("--resume")
+    if workers:
+        cmd += ["--workers", str(workers)]
     proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT, text=True)
     line = proc.stdout.readline()
@@ -284,36 +284,51 @@ def feed_service(port: int, chains: list, start_at: int) -> None:
         pass
 
 
+def run_service(wal: str, args, env: dict, chains: list,
+                resume: bool = False, workers: int | None = None,
+                kill_now=None) -> str:
+    """One service incarnation fed ``chains`` (from the accept log's
+    count on) by a TCP client that drains and then asks for shutdown.
+
+    ``kill_now(proc)`` is polled while the service runs; when it
+    returns True the service is SIGKILLed.  Returns 'killed' or
+    'finished'; a nonzero exit aborts the harness.
+    """
+    subs = os.path.join(wal, "submissions.jsonl")
+    accepted = len(load_ndjson(subs)) if os.path.exists(subs) else 0
+    proc, port = start_service(wal, args.slots, env, resume, workers)
+    feeder = threading.Thread(target=feed_service,
+                              args=(port, chains, accepted), daemon=True)
+    feeder.start()
+    try:
+        while True:
+            rc = proc.poll()
+            if rc is not None:
+                if rc != 0:
+                    sys.stderr.write(proc.stdout.read())
+                    raise SystemExit(f"service exited rc={rc}")
+                return "finished"
+            if kill_now is not None and kill_now(proc):
+                proc.send_signal(signal.SIGKILL)
+                proc.wait()
+                return "killed"
+            time.sleep(0.005)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        feeder.join(timeout=30)
+
+
 def mode_service_kill(args, tmp: str, jsonl: str, env: dict) -> int:
-    import threading
     chains = [[tuple(p) for p in doc] for doc in load_ndjson(jsonl)]
 
     def run_cycle(wal: str, target: int | None, resume: bool) -> str:
-        subs = os.path.join(wal, "submissions.jsonl")
-        accepted = len(load_ndjson(subs)) if os.path.exists(subs) else 0
-        proc, port = start_service(wal, args.slots, env, resume)
-        feeder = threading.Thread(target=feed_service,
-                                  args=(port, chains, accepted), daemon=True)
-        feeder.start()
         log = os.path.join(wal, "wal.ndjson")
-        try:
-            while True:
-                rc = proc.poll()
-                if rc is not None:
-                    if rc != 0:
-                        sys.stderr.write(proc.stdout.read())
-                        raise SystemExit(f"service exited rc={rc}")
-                    return "finished"
-                if target is not None and wal_round(log) >= target:
-                    proc.send_signal(signal.SIGKILL)
-                    proc.wait()
-                    return "killed"
-                time.sleep(0.005)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-            feeder.join(timeout=30)
+        return run_service(
+            wal, args, env, chains, resume=resume,
+            kill_now=lambda proc: target is not None
+            and wal_round(log) >= target)
 
     # clean reference: an uninterrupted service over the same stream.
     # Live admission is paced by the wire, so *completion order* is
@@ -475,72 +490,53 @@ def mode_worker_kill(args, tmp: str, jsonl: str, env: dict) -> int:
 
 
 # ----------------------------------------------------------------------
-# mode: shm-kill (§2.16 slab shard recovery)
+# mode: shard-kill (§2.16 shard respawn)
 # ----------------------------------------------------------------------
-def shm_segments() -> set:
-    import glob
-    return set(glob.glob("/dev/shm/psm_*"))
+def mode_shard_kill(args, tmp: str, jsonl: str, env: dict) -> int:
+    chains = [[tuple(p) for p in doc] for doc in load_ndjson(jsonl)]
+    # clean reference: an uninterrupted single-worker service (per-chain
+    # rows are deterministic; completion order is wire-paced)
+    clean = os.path.join(tmp, "svc-clean")
+    run_service(clean, args, env, chains)
+    clean_rows = sorted(load_ndjson(os.path.join(clean, "results.ndjson")),
+                        key=lambda d: d["chain"])
+    if len(clean_rows) != len(chains):
+        raise SystemExit("clean service run lost results")
 
-
-def mode_shm_kill(args, tmp: str, jsonl: str, env: dict) -> int:
-    clean = os.path.join(tmp, "clean.ndjson")
-    subprocess.run(batch_cmd(jsonl, clean, args.slots, wal=None),
-                   env=env, check=True, stdout=subprocess.DEVNULL)
-    clean_rows = sorted(load_ndjson(clean), key=lambda d: d["chain"])
-
-    segs_before = shm_segments()
-    wal = os.path.join(tmp, "wal")
-    out = os.path.join(tmp, "sharded.ndjson")
+    wal = os.path.join(tmp, "svc-shards")
     rng = random.Random(args.seed ^ 0x51AB)
     hi = args.max_round if args.max_round else 12
     targets = sorted(rng.randrange(1, 1 + hi) for _ in range(args.kills))
-    print(f"[crash-harness] shm-kill: {args.chains} chains, "
+    print(f"[crash-harness] shard-kill: {len(chains)} chains, "
           f"workers={args.workers}, shard-round targets {targets}")
+    kills = []
 
-    proc = subprocess.Popen(
-        batch_cmd(jsonl, out, args.slots, wal, workers=args.workers,
-                  backend="shm"),
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    delivered = 0
-    try:
-        while proc.poll() is None:
-            if delivered < len(targets) \
-                    and shard_round(wal) >= targets[delivered]:
-                kids = child_pids(proc.pid)
-                if kids:
-                    victim = rng.choice(kids)
-                    try:
-                        os.kill(victim, signal.SIGKILL)
-                    except OSError:
-                        continue           # worker raced to exit; retry
-                    delivered += 1
-                    print(f"[crash-harness] SIGKILL shard worker "
-                          f"pid={victim} "
-                          f"(shard round >= {targets[delivered - 1]})")
-            time.sleep(0.002)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr.read().decode())
-        print(f"[crash-harness] shm run died rc={proc.returncode} — "
-              f"shard respawn failed to absorb the kills", file=sys.stderr)
-        return 1
-    if delivered < len(targets):
-        print(f"[crash-harness] note: only {delivered}/{len(targets)} kills "
-              f"delivered (run finished first)")
+    def kill_shard(proc) -> bool:
+        # SIGKILL one shard worker per target; the service itself lives
+        if len(kills) < len(targets) \
+                and shard_round(wal) >= targets[len(kills)]:
+            victims = child_pids(proc.pid)
+            if victims:
+                victim = rng.choice(victims)
+                try:
+                    os.kill(victim, signal.SIGKILL)
+                except OSError:
+                    return False       # worker raced to exit; retry
+                kills.append(victim)
+                print(f"[crash-harness] SIGKILL shard worker pid={victim} "
+                      f"(shard round >= {targets[len(kills) - 1]})")
+        return False
 
-    leaked = shm_segments() - segs_before
-    if leaked:
-        print(f"[crash-harness] LEAKED shared-memory segments: "
-              f"{sorted(leaked)}", file=sys.stderr)
-        return 1
+    run_service(wal, args, env, chains, workers=args.workers,
+                kill_now=kill_shard)
+    if len(kills) < len(targets):
+        print(f"[crash-harness] note: only {len(kills)}/{len(targets)} "
+              f"kills delivered (run finished first)")
 
-    rows = load_ndjson(out)
+    rows = load_ndjson(os.path.join(wal, "results.ndjson"))
     indices = [d["chain"] for d in rows]
     if len(set(indices)) != len(indices):
-        print("[crash-harness] DUPLICATED results after shard recovery",
+        print("[crash-harness] DUPLICATED results after shard respawn",
               file=sys.stderr)
         return 1
     rows = sorted(rows, key=lambda d: d["chain"])
@@ -553,9 +549,9 @@ def mode_shm_kill(args, tmp: str, jsonl: str, env: dict) -> int:
                       file=sys.stderr)
                 break
         return 1
-    print(f"[crash-harness] OK: {len(rows)} results, zero lost/duplicated, "
-          f"identical to single-worker run, zero leaked segments "
-          f"({delivered} shard-worker kills)")
+    print(f"[crash-harness] OK: {len(rows)} results exactly-once, rows "
+          f"identical to a clean single-worker service ({len(kills)} "
+          f"shard-worker kills)")
     return 0
 
 
@@ -632,12 +628,13 @@ def mode_poison(args, tmp: str, jsonl: str, env: dict) -> int:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--mode", choices=("cli-kill", "worker-kill", "poison",
-                                       "service-kill", "shm-kill"),
+                                       "service-kill", "shard-kill"),
                     default="cli-kill")
     ap.add_argument("--chains", type=int, default=120)
     ap.add_argument("--slots", type=int, default=16)
     ap.add_argument("--workers", type=int, default=2,
-                    help="pool width for worker-kill/poison modes")
+                    help="pool width for worker-kill/poison modes, shard "
+                         "count for shard-kill")
     ap.add_argument("--kills", type=int, default=3,
                     help="SIGKILLs (cli-kill/worker-kill) or poison "
                          "chains (poison) to inject")
@@ -655,8 +652,8 @@ def main(argv=None) -> int:
         return mode_service_kill(args, tmp, jsonl, env)
     if args.mode == "worker-kill":
         return mode_worker_kill(args, tmp, jsonl, env)
-    if args.mode == "shm-kill":
-        return mode_shm_kill(args, tmp, jsonl, env)
+    if args.mode == "shard-kill":
+        return mode_shard_kill(args, tmp, jsonl, env)
     if args.mode == "poison":
         return mode_poison(args, tmp, jsonl, env)
     return mode_cli_kill(args, tmp, jsonl, env)

@@ -160,14 +160,9 @@ def cmd_batch_stream(args) -> int:
     if args.backend == "process":
         raise SystemExit("--stream runs on the fleet backend; "
                          "--backend process has no shared arena to bound")
-    backend = "shm" if args.backend == "shm" else "fleet"
     if args.resume and not args.wal:
         raise SystemExit("--resume continues a write-ahead-logged run; "
                          "it needs --wal DIR")
-    if args.resume and backend == "shm":
-        raise SystemExit("--backend shm streams are not snapshot-resumable "
-                         "(per-shard WALs are effect logs); re-run, or use "
-                         "the service tier for exactly-once re-feeding")
     if args.resume and args.workers and args.workers > 1:
         raise SystemExit("--resume continues the one top-level log "
                          "in-process; drop --workers")
@@ -197,7 +192,7 @@ def cmd_batch_stream(args) -> int:
         out_fh, seen = _open_stream_out(args.out, args.resume)
     sim = BatchSimulator([], params=_params(args), engine="kernel",
                          check_invariants=args.check, workers=args.workers,
-                         keep_reports=False, backend=backend)
+                         keep_reports=False, backend="fleet")
     progress = _batch_progress() if args.progress else None
     chains = _iter_jsonl_chains(args.stream, skip_bad=args.skip_bad_lines,
                                 on_bad=on_bad)
@@ -257,15 +252,6 @@ def cmd_batch_stream(args) -> int:
                    f"topo_rebuilds={stats['topo_rebuilds']}, "
                    f"topo_delta_ops={stats['topo_delta_ops']}, "
                    f"topo_delta_cells={stats['topo_delta_cells']}")
-    if "per_shard" in stats:
-        # shm streams report per-shard scaling telemetry so scale-out
-        # is observable, not inferred
-        extras += (f", chains_per_s={stats.get('chains_per_s', 0.0)}, "
-                   f"respawns={stats.get('respawns', 0)}")
-        for row in stats["per_shard"]:
-            print(f"  shard {row['shard']}: completed={row['completed']}, "
-                  f"chains_per_s={row['chains_per_s']}, "
-                  f"respawns={row['respawns']}", flush=True)
     print(f"{gathered}/{total} gathered, {robots} robots in {rounds} rounds "
           f"total (slots={args.slots}, workers={sim.workers}, "
           f"peak_live={stats.get('peak_live_chains', 'n/a')}{extras})")
@@ -443,13 +429,12 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0,
                    help="seed for stochastic families")
     b.add_argument("--engine", choices=ENGINES, default="kernel")
-    b.add_argument("--backend", choices=("auto", "fleet", "process", "shm"),
+    b.add_argument("--backend", choices=("auto", "fleet", "process"),
                    default="auto",
-                   help="fleet: shared-array fleet kernel (kernel engine); "
-                        "process: one simulation per chain; shm: zero-copy "
-                        "shared-memory shard tier (--workers slab-backed "
-                        "kernel processes, kernel engine); auto: fleet "
-                        "whenever the engine is kernel")
+                   help="fleet: shared-array fleet kernel (kernel engine; "
+                        "with --workers, batches and --stream run on the "
+                        "supervised pool); process: one simulation per "
+                        "chain; auto: fleet whenever the engine is kernel")
     b.add_argument("--workers", type=int, default=None,
                    help="process-pool width (default: in-process; the fleet "
                         "backend streams the batch through the supervised "
@@ -526,10 +511,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="streaming slot budget shared by all clients "
                         "(default 256)")
     s.add_argument("--workers", type=int, default=None,
-                   help="shard the stream across the zero-copy shared-"
-                        "memory tier: K slab-backed kernel processes "
-                        "(default: in-process kernel); persisted in the "
-                        "service WAL header and restored on --resume")
+                   help="shard the live stream across K kernel worker "
+                        "processes fed over pipes, each submission placed "
+                        "on the least-loaded shard (default: in-process "
+                        "kernel); persisted in the service WAL header and "
+                        "restored on --resume")
     s.add_argument("--queue", type=int, default=None,
                    help="admission queue capacity; submissions beyond it "
                         "get a backpressure frame and park (default: "

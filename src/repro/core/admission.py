@@ -20,10 +20,12 @@ An **admission source** is any object exposing::
         No further submissions; pending items still drain.
 
 plus plain (blocking) iteration, so every existing consumer of a chain
-iterable — ``FleetKernel.restore_stream``'s fast-forward, the
-supervised pool's intake loop — keeps working unchanged.  The
-scheduler detects the protocol by the ``take`` attribute; plain
-iterables keep the exact pre-§2.15 code path.
+iterable — ``FleetKernel.restore_stream``'s fast-forward — keeps
+working unchanged.  The schedulers detect the protocol by the ``take``
+attribute; plain iterables keep the exact pre-§2.15 code path.  With
+``workers >= 2``, ``BatchSimulator.run_stream`` sends a source to the
+shard tier (:mod:`repro.core.shards`), whose parent pulls from it, and
+a plain iterable to the supervised pool.
 
 :class:`QueueSource` is the reference implementation: a bounded,
 thread-safe FIFO whose producer side is fed from another thread (the
@@ -143,7 +145,7 @@ class QueueSource:
         with self._lock:
             return len(self._items)
 
-    # -- iterable face (restore fast-forward, pool intake) -------------
+    # -- iterable face (restore fast-forward) --------------------------
     def __iter__(self) -> Iterator:
         return self
 

@@ -127,10 +127,9 @@ class ChainArena:
                  "_topo_dirty", "_base_buf", "_n0_buf", "_len_buf",
                  "_live_buf", "n_live", "_topo_bufs", "_topo_len",
                  "_topo_start_buf", "_topo_start", "_topo_p0",
-                 "topo_stats", "_fixed")
+                 "topo_stats")
 
-    def __init__(self, chains: Sequence[ClosedChain] = (), capacity: int = 0,
-                 buffers: Optional[Dict[str, np.ndarray]] = None):
+    def __init__(self, chains: Sequence[ClosedChain] = (), capacity: int = 0):
         self.chains: List[ClosedChain] = list(chains)
         ns = np.array([c.n for c in self.chains], dtype=np.int64)
         self.n0 = ns
@@ -138,33 +137,12 @@ class ChainArena:
             if len(ns) else np.empty(0, np.int64)
         used = int(ns.sum())
         cap = max(int(capacity), used)
-        if buffers is not None:
-            # externally-backed cell buffers (shared-memory shard tier,
-            # DESIGN.md §2.16): the views are adopted, never
-            # reallocated — the arena is *fixed* (grow() refuses; the
-            # slab owner swaps segments instead) and its capacity is
-            # exactly what the views hold
-            cap = len(buffers["codes"])
-            if cap < used or len(buffers["pos"]) != cap + 1:
-                raise ValueError(
-                    f"buffers hold {cap} cells (+1 pos padding row); "
-                    f"initial chains need {used}")
-            self.pos = buffers["pos"]
-            self.codes = buffers["codes"]
-            self.ids = buffers["ids"]
-            self.index = buffers["index"]
-            self.owner = buffers["owner"]
-            self.index[:] = -1
-            self.owner[:] = -1
-            self._fixed = True
-        else:
-            # one padding row so reduceat segment ends may equal the span
-            self.pos = np.empty((cap + 1, 2), dtype=np.int64)
-            self.codes = np.empty(cap, dtype=np.int64)
-            self.ids = np.empty(cap, dtype=np.int64)
-            self.index = np.full(cap, -1, dtype=np.int64)
-            self.owner = np.full(cap, -1, dtype=np.int64)
-            self._fixed = False
+        # one padding row so reduceat segment ends may equal the span
+        self.pos = np.empty((cap + 1, 2), dtype=np.int64)
+        self.codes = np.empty(cap, dtype=np.int64)
+        self.ids = np.empty(cap, dtype=np.int64)
+        self.index = np.full(cap, -1, dtype=np.int64)
+        self.owner = np.full(cap, -1, dtype=np.int64)
         self.length = ns.copy()
         self.live = np.ones(len(self.chains), dtype=bool)
         # the per-chain tables are views of amortised-doubling buffers
@@ -479,125 +457,6 @@ class ChainArena:
             chain._index_arr_cache = None
             self.chains[ci] = chain
 
-    def _take_range(self, off: int, size: int) -> None:
-        """Carve the exact cell range ``[off, off + size)`` out of the
-        free list (splitting its covering hole), or raise ``ValueError``
-        when no single hole covers it."""
-        free = self.free
-        lo, hi = 0, len(free)
-        while lo < hi:                     # last hole with offset <= off
-            mid = (lo + hi) // 2
-            if free[mid][0] <= off:
-                lo = mid + 1
-            else:
-                hi = mid
-        i = lo - 1
-        if i < 0 or off + size > free[i][0] + free[i][1]:
-            raise ValueError(
-                f"no free hole covers cells [{off}, {off + size})")
-        h_off, h_size = free[i]
-        left = off - h_off
-        right = (h_off + h_size) - (off + size)
-        if left and right:
-            free[i] = (h_off, left)
-            free.insert(i + 1, (off + size, right))
-        elif left:
-            free[i] = (h_off, left)
-        elif right:
-            free[i] = (off + size, right)
-        else:
-            del free[i]
-
-    def adopt_slots(self, bases: Sequence[int], ns: Sequence[int],
-                    zero_counts: Sequence[int]) -> List[int]:
-        """Adopt slots whose cells are *already resident* in the buffers.
-
-        The shared-memory shard tier's admission (DESIGN.md §2.16): the
-        parent parsed the burst, chose every placement and wrote each
-        chain's positions and edge codes straight into this arena's
-        (slab-backed) buffers; the worker-side arena only takes the
-        dictated ranges off its free-list mirror, registers rows
-        (recycling retired rows lowest-first, exactly like
-        :meth:`reserve_batch`) and builds the lightweight chain views —
-        no cell copies, no placement choice, no per-chain encode.
-        Returns the adopted chain ids, in order.
-        """
-        k = len(bases)
-        cis: List[int] = []
-        rec_ci: List[int] = []
-        rec_off: List[int] = []
-        rec_n: List[int] = []
-        chains = self.chains
-        free_ids = self.free_ids
-        for off, n in zip(bases, ns):
-            self._take_range(int(off), int(n))
-            if free_ids:
-                ci = free_ids.pop(0)       # lowest first: deterministic
-                chains[ci] = None
-                rec_ci.append(ci)
-                rec_off.append(int(off))
-                rec_n.append(int(n))
-            else:
-                ci = len(chains)
-                chains.append(None)
-                count = ci + 1
-                self._base_buf = append_cell(self._base_buf, count, int(off))
-                self._n0_buf = append_cell(self._n0_buf, count, int(n))
-                self._len_buf = append_cell(self._len_buf, count, int(n))
-                self._live_buf = append_cell(self._live_buf, count, True)
-                self._topo_start_buf = append_cell(self._topo_start_buf,
-                                                   count, -1)
-                self.base = self._base_buf[:count]
-                self.n0 = self._n0_buf[:count]
-                self.length = self._len_buf[:count]
-                self.live = self._live_buf[:count]
-                self._topo_start = self._topo_start_buf[:count]
-            cis.append(ci)
-        if rec_ci:
-            rec = np.asarray(rec_ci, dtype=np.int64)
-            self.base[rec] = rec_off
-            self.n0[rec] = rec_n
-            self.length[rec] = rec_n
-            self.live[rec] = True
-        cis_a = np.asarray(cis, dtype=np.int64)
-        ns_a = np.asarray(ns, dtype=np.int64)
-        total = int(ns_a.sum())
-        self.live_cells += total
-        if self.live_cells > self.peak_cells:
-            self.peak_cells = self.live_cells
-        self.n_live += k
-        if self.n_live > self.peak_live:
-            self.peak_live = self.n_live
-        self.topo_admit_batch(cis)
-        # identity id/index layout and ownership for the fresh slots;
-        # positions and codes are already in place (parent-written)
-        rep = np.repeat(np.arange(k, dtype=np.int64), ns_a)
-        within = np.arange(total, dtype=np.int64) \
-            - np.repeat(np.cumsum(ns_a) - ns_a, ns_a)
-        dst = self.base[cis_a][rep] + within
-        self.ids[dst] = within
-        self.index[dst] = within
-        self.owner[dst] = cis_a[rep]
-        for j in range(k):
-            ci = int(cis_a[j])
-            b = int(self.base[ci])
-            n = int(ns_a[j])
-            chain = ClosedChain.__new__(ClosedChain)
-            chain._arr = self.pos[b:b + n]
-            buf = self.codes[b:b + n]
-            chain._codes_buf = buf
-            chain._codes_cache = buf
-            chain._codes_list_cache = None
-            chain._codes_view_cache = None
-            chain._pos_cache = None
-            chain._invalid_edges = int(zero_counts[j])
-            chain._next_id = n
-            chain._ids = list(range(n))
-            chain._ids_arr_cache = None
-            chain._index_arr_cache = None
-            chains[ci] = chain
-        return cis
-
     def _release_slot(self, off: int, size: int) -> None:
         """Insert a hole into the free list, coalescing neighbours."""
         free = self.free
@@ -739,11 +598,6 @@ class ChainArena:
         cap = max(int(min_capacity), old)
         if cap == old:
             return
-        if self._fixed:
-            raise RuntimeError(
-                "fixed-buffer arena cannot grow: its cells are "
-                "externally backed (shared-memory shard tier) — the "
-                "slab owner swaps segments instead")
         pos = np.empty((cap + 1, 2), dtype=np.int64)
         pos[:old] = self.pos[:old]
         self.pos = pos
@@ -1061,7 +915,6 @@ class ChainArena:
         self.free_ids = [int(i) for i in arrays["free_ids"]]
         self.chains = [None] * count
         self.scratch = ScratchPool()
-        self._fixed = False
         self.live_cells = int(meta["live_cells"])
         self.peak_cells = int(meta["peak_cells"])
         self.n_live = int(meta["n_live"])

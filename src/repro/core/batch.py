@@ -7,7 +7,7 @@ takes a list of initial chains, runs each through the engine of choice
 and returns a :class:`BatchResult` keeping per-chain
 :class:`~repro.core.simulator.GatheringResult` objects in input order.
 
-Two in-process backends execute the fleet (DESIGN.md §2.10):
+Two backends execute the fleet (DESIGN.md §2.10):
 
 * ``"fleet"`` — the shared-array fleet kernel
   (:class:`repro.core.engine_fleet.FleetKernel`) advances every chain
@@ -18,36 +18,27 @@ Two in-process backends execute the fleet (DESIGN.md §2.10):
 * ``"process"`` — one simulation per chain through
   :class:`~repro.core.simulator.Simulator` (any engine).
 
-A third, multi-process backend scales the fleet without copying it:
-
-* ``"shm"`` — the zero-copy shared-memory shard tier
-  (:mod:`repro.core.shm`, DESIGN.md §2.16).  One
-  ``multiprocessing.shared_memory`` slab holds K disjoint shard
-  regions; K worker processes each step a fleet kernel over their
-  region.  The parent parses each intake burst once, writes the cells
-  straight into the slab and sends five-integer tickets; workers
-  publish eight-word result rows into a shared ledger ring.  No chain
-  or result payload ever crosses a pipe.  Per-chain results are
-  bit-identical to ``backend="fleet"`` per stream index.
-
 The streaming tier (DESIGN.md §2.11) lifts the fleet backend from
 one-shot to pipeline: :meth:`BatchSimulator.run_stream` /
 :func:`gather_stream` consume an *iterator* of chains, keep the arena
 at a bounded slot occupancy — retired slots are reclaimed for the
 next admissions — and yield ``(index, result)`` pairs as chains
 finish, so a million-chain sweep runs in constant memory.  With
-``workers >= 2`` the stream shards round-robin across the supervised
-process pool (:mod:`repro.core.supervisor`, DESIGN.md §2.13), each
-worker running its own bounded kernel, dead workers respawned and
-their chunks re-dispatched; per-chain results are bit-identical to
-:func:`gather_batch` either way.
+``workers >= 2`` the input picks the multi-process path: a finite
+iterable shards round-robin across the supervised process pool
+(:mod:`repro.core.supervisor`, DESIGN.md §2.13), dead workers
+respawned and their chunks re-dispatched; a live admission source
+(:mod:`repro.core.admission` — the service's queue) goes to the shard
+tier (:mod:`repro.core.shards`, §2.16), K long-lived kernel workers
+fed over pipes.  Per-chain results are bit-identical to
+:func:`gather_batch` on every path.
 
 ``backend="auto"`` (the default) picks ``"fleet"`` whenever the
 engine is ``"kernel"``.  A multi-process kernel batch is a stream:
-with ``workers >= 2`` on the fleet backend, and on every shm run,
-:meth:`BatchSimulator.run` is :meth:`~BatchSimulator.run_stream` over
-the batch with one slot per chain, collected in input order, so
-batches get the stream's crash recovery.  The process backend
+with ``workers >= 2`` on the fleet backend, :meth:`BatchSimulator.run`
+is :meth:`~BatchSimulator.run_stream` over the batch with one slot per
+chain, collected in input order, so batches get the supervised pool's
+crash recovery.  The process backend
 distributes one-chain jobs over a plain process pool (simulations are
 pure CPU-bound Python, so processes — not threads — are the scaling
 unit).  Jobs are self-contained ``(positions, params, …)`` tuples and
@@ -73,7 +64,7 @@ from repro.core.config import DEFAULT_PARAMETERS, Parameters
 from repro.core.simulator import ENGINES, GatheringResult, Simulator
 
 #: Fleet execution backends accepted by :class:`BatchSimulator`.
-BACKENDS = ("auto", "fleet", "process", "shm")
+BACKENDS = ("auto", "fleet", "process")
 
 #: One batch job: everything a worker needs to gather one chain.
 _Job = Tuple[List[tuple], Parameters, str, bool, Optional[int], bool, bool]
@@ -174,18 +165,16 @@ class BatchSimulator:
         variant), ``"vectorized"`` or ``"reference"``.
     backend:
         ``"fleet"`` (shared-array fleet kernel, kernel engine only),
-        ``"process"`` (one simulation per chain), ``"shm"`` (zero-copy
-        shared-memory shard tier: ``workers`` slab-backed kernel
-        processes, kernel engine only, ``keep_reports=False``), or
-        ``"auto"`` (default): fleet whenever the engine is
-        ``"kernel"``.
+        ``"process"`` (one simulation per chain), or ``"auto"``
+        (default): fleet whenever the engine is ``"kernel"``.
     check_invariants:
         Per-round invariant checking for every simulation (slow).
     workers:
         Process count.  ``None`` or ``1`` runs in-process; ``>= 2``
         distributes over worker processes (the fleet backend streams
-        the batch through the supervised pool, the process backend
-        runs one chain per ``concurrent.futures`` job).
+        a batch or any finite iterable through the supervised pool and
+        an admission source through the shard tier; the process
+        backend runs one chain per ``concurrent.futures`` job).
     keep_reports:
         Keep per-round :class:`RoundReport` lists on each result.  Turn
         off for large sweeps that only need aggregate outcomes (and to
@@ -208,7 +197,7 @@ class BatchSimulator:
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; choose from {BACKENDS}")
-        if backend in ("fleet", "shm") and engine != "kernel":
+        if backend == "fleet" and engine != "kernel":
             raise ValueError(
                 f"backend={backend!r} executes the kernel round pipeline; "
                 f"engine {engine!r} needs backend='process'")
@@ -293,8 +282,7 @@ class BatchSimulator:
                    resume: bool = False,
                    on_error: str = "raise",
                    max_retries: int = 3,
-                   backoff: float = 0.05,
-                   shard_cells: Optional[int] = None
+                   backoff: float = 0.05
                    ) -> Iterator[Tuple[int, GatheringResult]]:
         """Stream chains through a bounded arena; yield as they finish.
 
@@ -309,26 +297,21 @@ class BatchSimulator:
         Per-chain results are bit-identical to :meth:`run` /
         :func:`gather_batch` on the same inputs.
 
-        ``workers >= 2`` shards the stream round-robin across a
-        process pool — chain ``i`` goes to worker ``i % workers``,
-        each worker streaming its shard through ``slots // workers``
-        slots of its own — with at most one in-flight chunk per worker
-        plus one filling buffer, so the pipeline stays bounded
-        end-to-end.  After exhaustion, :attr:`last_stream_stats` holds
-        the occupancy telemetry (peak live chains / cells, admission
-        and compaction counts) of the in-process kernel.
+        ``workers >= 2`` runs ``slots // workers`` slots in each of
+        ``workers`` kernel processes, on the path the input calls for.
+        A finite iterable shards round-robin across the supervised
+        pool — chain ``i`` goes to worker ``i % workers`` — with at
+        most one in-flight chunk per worker plus one filling buffer,
+        so the pipeline stays bounded end-to-end.  An admission source
+        (§2.15) goes to the shard tier (§2.16): K long-lived workers
+        fed over pipes, each entry placed on the least-loaded shard,
+        with per-shard occupancy in :attr:`last_stream_stats`
+        (``per_shard``) while the stream runs.  After exhaustion,
+        :attr:`last_stream_stats` holds the occupancy telemetry (peak
+        live chains / cells, admission and compaction counts).
 
-        Streaming executes on the fleet and shm backends only (the
-        process backend has no shared arena to bound).
-        ``backend="shm"`` (§2.16) replaces the pickling pool with the
-        zero-copy shard tier: ``workers`` slab-backed kernel processes
-        fed by tickets into one shared-memory slab, results published
-        through shared ledger rings.  Results stay bit-identical per
-        stream index; ``keep_reports`` must be ``False``, ``resume``
-        is unsupported (per-shard WALs are effect logs — the service
-        tier's results ledger provides exactly-once re-feeding), and
-        ``shard_cells`` optionally pins the per-shard slab size in
-        cells (default: sized from the first burst).
+        Streaming executes on the fleet backend only (the process
+        backend has no shared arena to bound).
 
         Durability (§2.12): ``wal_dir`` write-ahead-logs the stream
         (one snapshot every ``snapshot_every`` rounds) so a killed run
@@ -338,14 +321,16 @@ class BatchSimulator:
         ``faults`` (a :class:`repro.core.faults.FaultPlan`) degrades
         the stream deterministically at intake on either worker
         topology, and mid-run (robot crash/restart) on either as well.
-        Under a pool, ``wal_dir`` shards: each worker slot logs to
-        ``wal_dir/shard-<k>/`` and a killed worker resumes from its
-        own snapshot (supervision tier, §2.13); top-level
-        ``resume=True`` stays in-process only.
+        With workers, ``wal_dir`` shards: each worker logs to
+        ``wal_dir/shard-<k>/`` — a killed pool worker resumes from its
+        own snapshot (supervision tier, §2.13), a respawned shard
+        worker replays its re-fed chains into a fresh effect log;
+        top-level ``resume=True`` stays in-process only.
 
-        Supervision (§2.13): the pool path always survives worker
-        deaths — lost chunks re-dispatch with bounded retry
-        (``max_retries``) and exponential ``backoff``.
+        Supervision (§2.13): both multi-process paths survive worker
+        deaths — lost pool chunks re-dispatch with bounded retry
+        (``max_retries``) and exponential ``backoff``, a dead shard
+        worker respawns and replays its in-flight chains.
         ``on_error="quarantine"`` additionally turns per-chain
         failures (poisoned inputs, invariant violations, chains that
         exhaust worker retries) into yielded
@@ -355,34 +340,19 @@ class BatchSimulator:
         fault *crashes* always yield ``ChainOutcome`` records — they
         are planned degradations, not errors.
         """
-        if self.backend not in ("fleet", "shm"):
+        if self.backend != "fleet":
             raise ValueError(
-                "run_stream() executes on the fleet or shm backend "
+                "run_stream() executes on the fleet backend "
                 f"(engine='kernel'); this simulator resolved to "
                 f"backend={self.backend!r}")
         if slots < 1:
             raise ValueError("slots must be >= 1")
         if resume and wal_dir is None:
             raise ValueError("resume=True needs wal_dir")
-        if self.backend == "shm":
-            if resume:
-                raise ValueError(
-                    "backend='shm' streams are not snapshot-resumable: "
-                    "the per-shard worker WALs are effect logs (audit / "
-                    "fault forensics), not parent-resumable snapshots — "
-                    "re-feed the stream, or use the service tier, whose "
-                    "results ledger makes re-feeding exactly-once")
-            if self.keep_reports:
-                raise ValueError(
-                    "backend='shm' publishes results through the shared "
-                    "ledger (scalar rows + slab positions); per-round "
-                    "reports never cross — set keep_reports=False")
-        elif shard_cells is not None:
-            raise ValueError("shard_cells applies to backend='shm' only")
         if resume and self.workers > 1:
             raise ValueError(
                 "top-level resume is single-process (shard WALs already "
-                "resume crashed workers under a live parent); set "
+                "recover crashed workers under a live parent); set "
                 "workers=1 to resume a killed run")
         if wal_dir is not None and self.workers > 1 and self.keep_reports:
             raise ValueError(
@@ -390,7 +360,8 @@ class BatchSimulator:
                 "(the shard results ledger archives scalar outcomes); "
                 "set keep_reports=False")
         from repro.core.admission import is_admission_source
-        if is_admission_source(chains):
+        source = is_admission_source(chains)
+        if source:
             # admission-source protocol (§2.15): hand the source
             # through untouched so the kernel's pull loop sees its
             # ``take`` — wrapping it in itertools.chain would demote
@@ -404,15 +375,15 @@ class BatchSimulator:
             stream = chains
         else:
             stream = itertools.chain(iter(self.positions), iter(chains))
-        if self.backend == "shm":
-            yield from self._stream_shm(stream, slots, max_rounds, progress,
-                                        faults, wal_dir, snapshot_every,
-                                        on_error, shard_cells)
-        elif self.workers <= 1:
+        if self.workers <= 1:
             yield from self._stream_inprocess(stream, slots, max_rounds,
                                               progress, wal_dir,
                                               snapshot_every, faults, resume,
                                               on_error)
+        elif source:
+            yield from self._stream_shards(stream, slots, max_rounds,
+                                           progress, faults, wal_dir,
+                                           snapshot_every, on_error)
         else:
             yield from self._stream_pool(stream, slots, max_rounds, progress,
                                          faults, wal_dir, snapshot_every,
@@ -496,27 +467,27 @@ class BatchSimulator:
                                as_positions=self._as_positions)
         self.last_stream_stats = stats
 
-    def _stream_shm(self, stream, slots, max_rounds, progress, faults=None,
-                    wal_dir=None, snapshot_every=512, on_error="raise",
-                    shard_cells=None):
-        # the zero-copy shard tier (§2.16): one shared slab, K kernel
-        # workers, ticket admission and ledger-ring results.  The stats
-        # dict is installed *before* the stream runs and mutated live
-        # (per-shard occupancy and chains/s), so the service tier can
-        # read scaling telemetry off it mid-stream.
-        from repro.core.shm import shm_stream
+    def _stream_shards(self, source, slots, max_rounds, progress,
+                       faults=None, wal_dir=None, snapshot_every=512,
+                       on_error="raise"):
+        # the shard tier (§2.16): K long-lived kernel workers fed over
+        # pipes.  The stats dict is installed *before* the stream runs
+        # and updated live (per-shard occupancy and chains/s), so the
+        # service tier can read it mid-stream.
+        from repro.core.shards import shard_stream
         stats: Dict[str, object] = {}
         self.last_stream_stats = stats
         self.stream_kernel = None      # kernels live in the shard workers
-        yield from shm_stream(stream, params=self.params,
-                              workers=self.workers, slots=slots,
-                              max_rounds=max_rounds,
-                              check_invariants=self.check_invariants,
-                              validate_initial=self.validate_initial,
-                              faults=faults, wal_dir=wal_dir,
-                              snapshot_every=snapshot_every,
-                              on_error=on_error, progress=progress,
-                              stats=stats, shard_cells=shard_cells)
+        yield from shard_stream(source, params=self.params,
+                                workers=self.workers, slots=slots,
+                                max_rounds=max_rounds,
+                                check_invariants=self.check_invariants,
+                                keep_reports=self.keep_reports,
+                                validate_initial=self.validate_initial,
+                                faults=faults, wal_dir=wal_dir,
+                                snapshot_every=snapshot_every,
+                                on_error=on_error, progress=progress,
+                                stats=stats)
 
     # ------------------------------------------------------------------
     def _run_streamed(self, max_rounds: Optional[int],
@@ -587,9 +558,7 @@ def gather_stream(chains: Iterable,
                   resume: bool = False,
                   on_error: str = "raise",
                   max_retries: int = 3,
-                  backoff: float = 0.05,
-                  backend: str = "fleet",
-                  shard_cells: Optional[int] = None
+                  backoff: float = 0.05
                   ) -> Iterator[Tuple[int, GatheringResult]]:
     """Stream a chain iterator through a bounded fleet (convenience API).
 
@@ -602,22 +571,18 @@ def gather_stream(chains: Iterable,
     lives); per-chain results are bit-identical to
     :func:`gather_batch` on the same inputs.  ``wal_dir`` /
     ``snapshot_every`` / ``faults`` / ``resume`` pass through to
-    :meth:`BatchSimulator.run_stream` (durability tier, §2.12).
-    ``backend="shm"`` runs the zero-copy shared-memory shard tier
-    (§2.16) instead of the in-process fleet / pickling pool;
-    ``shard_cells`` pins its per-shard slab size.
+    :meth:`BatchSimulator.run_stream` (durability tier, §2.12), which
+    also picks the multi-process path from ``chains``.
     """
     sim = BatchSimulator([], params=params, engine="kernel",
                          check_invariants=check_invariants,
                          workers=workers, keep_reports=keep_reports,
-                         validate_initial=validate_initial,
-                         backend=backend)
+                         validate_initial=validate_initial)
     return sim.run_stream(chains, slots=slots, max_rounds=max_rounds,
                           progress=progress, wal_dir=wal_dir,
                           snapshot_every=snapshot_every, faults=faults,
                           resume=resume, on_error=on_error,
-                          max_retries=max_retries, backoff=backoff,
-                          shard_cells=shard_cells)
+                          max_retries=max_retries, backoff=backoff)
 
 
 def gather_batch(chains: Sequence[Union[ClosedChain, Sequence[tuple]]],

@@ -32,8 +32,7 @@ ablations go through the reference pipeline's scheduler hook).
 from __future__ import annotations
 
 import time
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -75,49 +74,23 @@ _DIR_TABLE = np.array(CODE_TO_DIR, dtype=np.int64)
 _EMPTY_CELLS = np.empty(0, dtype=np.int64)
 
 
-class SlotTicket(NamedTuple):
-    """One parent-placed slab admission (shared-memory shard tier).
-
-    The parent parses a burst once, writes positions and edge codes
-    straight into the shard's slab region, and hands the worker only
-    this descriptor — the worker adopts the slot *in place*
-    (:meth:`ChainArena.adopt_slots`), so admission crosses the process
-    boundary without re-serialising a single robot.  ``mid`` carries
-    the chain's pre-decided mid-run fault trigger (the parent owns the
-    fault plan; intake faults never reach the worker).
-    """
-
-    ext: int                               #: external stream index
-    base: int                              #: slab cell offset
-    n: int                                 #: chain length (== slot size)
-    zc: int                                #: zero-edge count at admission
-    mid: Optional[Tuple[str, int]] = None  #: (kind, local round) or None
-
-
-class SlimResult(NamedTuple):
-    """A retired chain's scalar outcome row (shared-memory handoff).
-
-    What a shard worker publishes instead of a full
-    :class:`GatheringResult`: the final positions already sit in the
-    slab at ``[base, base + final_n)`` — the parent materialises the
-    result from there, so the handoff moves eight integers per chain.
-    """
-
-    gathered: bool
-    rounds: int
-    initial_n: int
-    final_n: int
-    base: int
+def as_chain(c: Union[ClosedChain, Sequence[Vec]],
+             validate: bool) -> ClosedChain:
+    """Normalise one stream entry for admission: a position sequence
+    becomes a :class:`ClosedChain`, a chain is validated as an initial
+    configuration when ``validate`` is set.  A rejected entry raises
+    its exact per-chain error (the quarantine message)."""
+    if not isinstance(c, ClosedChain):
+        return ClosedChain(c, require_disjoint_neighbors=validate)
+    if validate:
+        c.validate(initial=True)
+    return c
 
 
 def parse_burst(payload_list: List[object], validate: bool):
     """Parse one intake burst into arrays (the batched-admission seam).
 
-    Factored out of :meth:`FleetKernel._admit_batch` so the
-    shared-memory parent (DESIGN.md §2.16) runs the *identical* parse,
-    validation and edge-encode before writing chains into the slab —
-    admission order, rejection set and edge codes cannot diverge
-    between the in-process and sharded tiers.
+    Module-level so instrumentation can wrap it by name.
 
     Returns ``(payloads, arrs, code, starts, offs, ns, zcs, bad)``:
     ``arrs`` aligns with ``payloads`` (``None`` where the batch parse
@@ -572,19 +545,6 @@ class FleetKernel:
         #: splice plan (removed positions / survivor overwrites) so the
         #: sync can edit the live caches in place
         self._ids_dirty: Dict[int, Optional[dict]] = {}
-        #: shared-memory handoff mode (§2.16): retire yields
-        #: :class:`SlimResult` rows — final positions stay in the slab
-        #: for the parent to read — instead of materialised results
-        self.slim_results = False
-
-    # ------------------------------------------------------------------
-    def _as_chain(self, c: Union[ClosedChain, Sequence[Vec]]) -> ClosedChain:
-        """Normalise one fleet input (constructor and admission path)."""
-        if not isinstance(c, ClosedChain):
-            return ClosedChain(c, require_disjoint_neighbors=self._validate)
-        if self._validate:
-            c.validate(initial=True)
-        return c
 
     # ------------------------------------------------------------------
     def _peek_ext(self) -> int:
@@ -710,16 +670,8 @@ class FleetKernel:
         compaction/grow points and error messages are identical to
         admitting each entry through :meth:`admit`.  Returns
         ``(admitted chain ids, quarantined (index, error) pairs)``.
-
-        Shared-memory shards (§2.16) feed :class:`SlotTicket`
-        descriptors instead of payloads: the parent already parsed,
-        validated and wrote the burst into this worker's slab region,
-        so the whole burst adopts in place — no parse, no validation,
-        no cell writes.
         """
         arena = self.arena
-        if pulled and type(pulled[0][1]) is SlotTicket:
-            return self._adopt_batch(pulled), []
         payloads, arrs, code, starts, offs, ns, zcs, bad = parse_burst(
             [payload for _ext, payload in pulled], self._validate)
         fresh: List[int] = []
@@ -789,7 +741,7 @@ class FleetKernel:
             do_run()
             flush()
             try:
-                ci = self.admit(self._as_chain(payload),
+                ci = self.admit(as_chain(payload, self._validate),
                                 slots_hint=slots_hint, _ext=ext)
             except (ChainError, ValueError, TypeError) as exc:
                 if not quarantine:
@@ -801,30 +753,6 @@ class FleetKernel:
         flush()
         self._single = False
         return fresh, qpairs
-
-    # ------------------------------------------------------------------
-    def _adopt_batch(self, pulled: List[Tuple[int, "SlotTicket"]]
-                     ) -> List[int]:
-        """Adopt one burst of parent-placed slab slots (§2.16).
-
-        The cell data is already resident at each ticket's
-        ``[base, base + n)``; the arena carves the dictated ranges out
-        of its free list (the parent's allocator mirror made the same
-        carves, so the two free lists track the same hole set) and the
-        fleet rows register under the tickets' external indices.
-        Compaction and growth are structurally unreachable on this
-        path — the parent owns placement.
-        """
-        tickets = [t for _i, t in pulled]
-        ns = [t.n for t in tickets]
-        cis = self.arena.adopt_slots([t.base for t in tickets], ns,
-                                     [t.zc for t in tickets])
-        self._register_rows(cis, ns, [t.ext for t in tickets])
-        for ci, t in zip(cis, tickets):
-            if t.mid is not None:
-                self._mid_faults[ci] = (str(t.mid[0]), int(t.mid[1]))
-        self._single = False
-        return cis
 
     # ------------------------------------------------------------------
     def run(self, max_rounds: Optional[int] = None,
@@ -905,8 +833,10 @@ class FleetKernel:
         instead of stream-aborting exceptions; mid-run fault crashes
         are always yielded that way.  ``ext_indices`` maps this
         kernel's admissions onto caller-chosen global stream indices
-        (the sharded pool path — each worker's kernel sees only its
-        chunk but logs, yields and fault-decides under global indices).
+        (the multi-process paths — each worker's kernel sees only its
+        share but logs, yields and fault-decides under global
+        indices).  The list is read as the stream runs, not copied, so
+        a caller feeding a live source may extend it as entries arrive.
         """
         if slots is not None and slots < 1:
             raise ValueError("slots must be >= 1")
@@ -916,7 +846,7 @@ class FleetKernel:
             raise ValueError("on_error must be 'raise' or 'quarantine'")
         quarantine = on_error == "quarantine"
         if ext_indices is not None and _resume is None:
-            self._ext_list = [int(x) for x in ext_indices]
+            self._ext_list = ext_indices
             self._ext_pos = 0
         arena = self.arena
         it = iter(chains)
@@ -1078,7 +1008,7 @@ class FleetKernel:
                                 continue
                             if kind == "perturb":
                                 try:
-                                    c = self._as_chain(nxt)
+                                    c = as_chain(nxt, self._validate)
                                 except (ChainError, ValueError,
                                         TypeError) as exc:
                                     if not quarantine:
@@ -1269,30 +1199,6 @@ class FleetKernel:
                 registry.drop_slots(drop)
         wall = time.perf_counter() - t0
         out: List[Tuple[int, GatheringResult]] = []
-        if self.slim_results:
-            # shared-memory handoff: the final positions already sit in
-            # the slab at [base, base + final_n) — skip the per-chain
-            # cache settlement and tuple-list build entirely and let
-            # the parent materialise the result from the shared cells
-            for ci, g in zip(cis.tolist(), np.asarray(gathered).tolist()):
-                self._ids_dirty.pop(ci, None)
-                out.append((self._ext_of[ci], SlimResult(
-                    gathered=bool(g),
-                    rounds=self.round_index - int(self.birth[ci]),
-                    initial_n=self._n0[ci],
-                    final_n=int(arena.length[ci]),
-                    base=int(arena.base[ci]))))
-                if release:
-                    self.reports[ci] = []
-                    arena.chains[ci] = None  # type: ignore[call-overload]
-            if self._wal is not None:
-                self._wal.append("retire", r=self.round_index,
-                                 c=cis.tolist(),
-                                 i=[self._ext_of[ci]
-                                    for ci in cis.tolist()],
-                                 g=np.asarray(gathered, np.int64).tolist())
-            arena.retire_batch(cis)
-            return out
         for ci, g in zip(cis.tolist(), np.asarray(gathered).tolist()):
             self._sync_ids(ci)
             chain = arena.chains[ci]

@@ -40,7 +40,6 @@ from dataclasses import replace
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Tuple)
 
-from repro.core.admission import Starved
 from repro.core.config import DEFAULT_PARAMETERS, Parameters
 from repro.core.results import ChainOutcome
 from repro.errors import WorkerCrashError
@@ -84,6 +83,20 @@ def _maybe_test_kill(indices: List[int]) -> None:
             fh.write(str(count - 1))
             fh.flush()
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def mid_run_faults_doc(faults) -> Optional[dict]:
+    """The mid-run half of a fault plan, as a doc for worker kernels.
+
+    Intake decisions need the global enumeration, so the parent
+    scheduler makes them before sharding; a worker keeps only the
+    mid-run faults, decided under global indices via ``ext_indices``.
+    ``None`` when the plan has no mid-run half.
+    """
+    if faults is None or (faults.mid_crash <= 0.0
+                          and faults.mid_restart <= 0.0):
+        return None
+    return replace(faults, crash=0.0, perturb=0.0).to_doc()
 
 
 # ----------------------------------------------------------------------
@@ -269,8 +282,8 @@ def pool_stream(stream: Iterable,
     :class:`GatheringResult` or a :class:`ChainOutcome` error record.
     ``stats`` (when given) accumulates supervision telemetry in place.
     """
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures import BrokenExecutor
+    from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Future,
+                                    ProcessPoolExecutor, wait)
     if as_positions is None:
         as_positions = lambda c: c                        # noqa: E731
     workers = min(workers, slots)
@@ -281,14 +294,7 @@ def pool_stream(stream: Iterable,
                 "quarantined_worker", "fault_crashed", "fault_perturbed"):
         st.setdefault(key, 0)
 
-    chunk_faults_doc = None
-    if faults is not None and (faults.mid_crash > 0.0
-                               or faults.mid_restart > 0.0):
-        # intake decisions happen here in the parent (they need the
-        # global enumeration before sharding); workers keep only the
-        # mid-run half of the plan, decided under global indices via
-        # ext_indices
-        chunk_faults_doc = replace(faults, crash=0.0, perturb=0.0).to_doc()
+    chunk_faults_doc = mid_run_faults_doc(faults)
 
     def job_of(ch: _Chunk) -> _SupJob:
         return (ch.indices, ch.positions, params, per_slots,
@@ -327,7 +333,16 @@ def pool_stream(stream: Iterable,
             shutil.rmtree(ch.shard_dir)
         ch.attempts += 1
         busy[k] = True
-        inflight[pool.submit(_supervised_stream_job, job_of(ch))] = ch
+        try:
+            fut = pool.submit(_supervised_stream_job, job_of(ch))
+        except BrokenExecutor as exc:
+            # a worker died after the last wait (between jobs, or with
+            # its future not yet collected): fail this dispatch like an
+            # in-flight casualty, so drain() respawns the pool and
+            # requeues the chunk
+            fut = Future()
+            fut.set_exception(exc)
+        inflight[fut] = ch
 
     def dispatch_all() -> None:
         if probation > 0:
@@ -377,13 +392,10 @@ def pool_stream(stream: Iterable,
                                    message=msg, stage="worker",
                                    retries=ch.retries, quarantined=True))]
 
-    def drain(min_inflight: int, timeout: Optional[float] = None):
+    def drain(min_inflight: int):
         nonlocal crashes, done, pool, probation
         while len(inflight) > min_inflight:
-            ready, _ = wait(set(inflight), timeout=timeout,
-                            return_when=FIRST_COMPLETED)
-            if not ready:
-                return                 # timed poll: nothing finished yet
+            ready, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
             casualties: List[_Chunk] = []
             broke = False
             for fut in ready:
@@ -450,47 +462,8 @@ def pool_stream(stream: Iterable,
                 probation = sum(len(q) for q in pending)
             dispatch_all()
 
-    take = getattr(stream, "take", None)
-    if take is not None and not callable(take):
-        take = None
-    it = iter(stream)
     try:
-        i = -1
-        while True:
-            if take is None:
-                try:
-                    c = next(it)
-                except StopIteration:
-                    break
-            else:
-                # admission-source intake (§2.15): starvation flushes
-                # the partial buffers as chunks — queued submissions
-                # must not wait for chunk_size while the wire is idle
-                # — then keeps in-flight results draining on a short
-                # poll until the next submission or close
-                try:
-                    c = take()
-                except StopIteration:
-                    break
-                except Starved:
-                    flushed = False
-                    for k in range(workers):
-                        if buffers[k]:
-                            queue_fresh(k)
-                            flushed = True
-                    if flushed:
-                        dispatch_all()
-                    if inflight:
-                        yield from drain(0, timeout=0.02)
-                        dispatch_all()
-                        continue
-                    try:
-                        c = take(block=True, timeout=0.1)
-                    except Starved:
-                        continue
-                    except StopIteration:
-                        break
-            i += 1
+        for i, c in enumerate(stream):
             if faults is not None:
                 kind = faults.decide(i)
                 if kind == "crash":
@@ -562,9 +535,10 @@ class StreamSupervisor:
 
     The library face of the supervision tier: wraps
     :meth:`BatchSimulator.run_stream` in quarantine mode (in-process
-    or supervised pool, by ``workers``), normalises every delivery to
-    a :class:`ChainOutcome`, and appends quarantined outcomes to the
-    ``dead_letter`` ledger.  After the stream drains, :attr:`stats`
+    with one worker; with more, the supervised pool for a finite
+    iterable and the shard tier for an admission source), normalises
+    every delivery to a :class:`ChainOutcome`, and appends quarantined
+    outcomes to the ``dead_letter`` ledger.  After the stream drains, :attr:`stats`
     holds the merged scheduler + supervision telemetry.
     """
 

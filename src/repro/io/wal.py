@@ -351,7 +351,6 @@ def load_fleet_snapshot(path: str) -> Tuple[Any, Dict[str, Any]]:
     kernel._ids_dirty = {}
     kernel._wal = None
     kernel._wal_rec = None
-    kernel.slim_results = False
     for ci in arena.live_indices().tolist():
         arena.revive_chain(ci)
     return kernel, dict(meta["stream"])

@@ -3,9 +3,9 @@
 DESIGN.md §2.15.  :class:`FairAdmissionQueue` implements the
 admission-source protocol of :mod:`repro.core.admission` — ``take`` /
 ``Starved`` / ``StopIteration`` / ``close`` plus blocking iteration —
-so it plugs straight into ``BatchSimulator.run_stream`` and the
-supervised pool.  On top of the plain :class:`QueueSource` contract it
-adds:
+so it plugs straight into ``BatchSimulator.run_stream``: the in-process
+kernel with one worker, the shard tier (:mod:`repro.core.shards`) with
+more.  On top of the plain :class:`QueueSource` contract it adds:
 
 **Fairness.**  Submissions are held in per-client FIFO deques and the
 consumer side round-robins across clients, so one client pipelining a

@@ -34,8 +34,9 @@ fast-forwards through the replay, and the ledger dedupes re-yields —
 the finished ``results.ndjson`` is byte-identical to an uninterrupted
 run's.  Resumed entries have no live client; they complete into the
 ledger only.  ``service.json`` records the worker count, so a killed
-``--workers K`` service restores its full shard set (the shm tier,
-§2.16) — there the kernel re-runs the replay deterministically from
+``--workers K`` service restores its full shard set (the queue is an
+admission source, so ``run_stream`` runs it on the shard tier,
+§2.16) — there the shards re-run the replay deterministically from
 scratch and the ledger dedup alone provides exactly-once.
 
 Result frames are written without awaiting ``drain()`` (they originate
@@ -189,12 +190,11 @@ class GatherService:
             on_take=self._log_take if self._intake_fh is not None else None)
         if replay:
             self.queue.feed_replay(replay)
-        # workers >= 2 runs the zero-copy shared-memory shard tier
-        # (§2.16): K slab-backed kernel processes, crash-respawning
-        # shards, per-shard WALs under wal_dir/shard-<k>
+        # the queue is an admission source, so workers >= 2 runs the
+        # shard tier (§2.16): K kernel processes fed over pipes,
+        # crash-respawning shards, per-shard WALs under wal_dir/shard-<k>
         self.sim = BatchSimulator(
             [], params=self.params, engine="kernel",
-            backend="shm" if self.workers > 1 else "fleet",
             workers=self.workers, keep_reports=False,
             check_invariants=self.check_invariants)
         self._kernel_task = self._loop.run_in_executor(
@@ -238,12 +238,12 @@ class GatherService:
 
     def _kernel_main(self) -> None:
         try:
-            # the shm tier has no kernel-level snapshot resume (per-
+            # the shard tier has no kernel-level snapshot resume (per-
             # shard WALs are effect logs); exactly-once on resume comes
             # from the service-level replay (queue feed_replay) plus
             # the results-ledger dedup below, so the stream re-runs
             # deterministically and only unseen indices append
-            resume = self.resume and self.sim.backend != "shm"
+            resume = self.resume and self.workers <= 1
             gen = self.sim.run_stream(
                 self.queue, slots=self.slots, max_rounds=self.max_rounds,
                 wal_dir=self.wal_dir, snapshot_every=self.snapshot_every,
@@ -451,7 +451,7 @@ class GatherService:
             })
         stream_stats = getattr(self.sim, "last_stream_stats", None)
         if stream_stats and "per_shard" in stream_stats:
-            # shm tier: the parent scheduler maintains these live —
+            # shard tier: the parent scheduler maintains these live —
             # per-shard occupancy, throughput and respawn counts make
             # the scale-out observable from a status frame
             doc.update({

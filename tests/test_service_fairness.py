@@ -221,9 +221,9 @@ class TestServiceKillResume:
                 == sorted(ref_rows, key=lambda r: r["chain"]))
 
     def test_resume_requires_wal_dir(self):
-        # multi-worker resume is supported since the shm tier (the
-        # service.json header restores the shard set); only a missing
-        # wal_dir is rejected
+        # multi-worker resume is supported (the service.json header
+        # restores the shard set and the results ledger dedupes the
+        # re-run); only a missing wal_dir is rejected
         GatherService(wal_dir="x", resume=True, workers=2)
         with pytest.raises(ValueError, match="wal_dir"):
             GatherService(resume=True)

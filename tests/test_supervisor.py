@@ -240,6 +240,27 @@ class TestSupervisedPool:
                              backoff=0.01))
         assert 3 in exc.value.indices
 
+    def test_submit_to_broken_pool_recovers(self, monkeypatch, baseline):
+        # a worker can die between the last wait and the next submit:
+        # the submit itself then raises BrokenProcessPool, which must be
+        # absorbed like any worker death, not abort the stream
+        import concurrent.futures as cf
+        chains, ref = baseline
+        broke = []
+
+        class BreaksOnce(cf.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                if not broke:
+                    broke.append(True)
+                    raise cf.process.BrokenProcessPool("worker died")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(cf, "ProcessPoolExecutor", BreaksOnce)
+        sup = StreamSupervisor(slots=6, workers=2, backoff=0.01)
+        outs = {o.index: o for o in sup.run(chains)}
+        assert sup.stats["worker_crashes"] == 1
+        assert {i: canon(o.result) for i, o in outs.items()} == ref
+
     def test_pool_poison_chain_quarantined(self, tmp_path, baseline):
         chains, ref = baseline
         dl = tmp_path / "dead.ndjson"
