@@ -29,7 +29,12 @@ death.  Five modes:
     Plant invalid chains at seeded stream positions and run with
     ``--dead-letter``: every poison entry must quarantine to the
     ledger (never abort the stream), and the good chains' results
-    must match the clean run's under the index remap.
+    must match the clean run's under the index remap.  Then run the
+    poisoned stream again under ``--faults seed=<seed>,perturb=0.25``,
+    once with ``--workers 1`` and once on the pool: a planted entry
+    the plan picks for perturbation must still quarantine, both dead
+    letters must hold exactly the planted positions, and both runs
+    must deliver identical survivor rows.
 
 ``shard-kill``
     Run ``repro serve --workers --wal`` (the shard tier, §2.16), submit
@@ -76,7 +81,8 @@ def make_stream(path: str, chains: int, seed: int) -> None:
 
 def batch_cmd(jsonl: str, out: str, slots: int, wal: str | None,
               resume: bool = False, workers: int | None = None,
-              dead_letter: str | None = None) -> list:
+              dead_letter: str | None = None,
+              faults: str | None = None) -> list:
     cmd = [sys.executable, "-m", "repro.cli", "batch", "--stream", jsonl,
            "--slots", str(slots), "--out", out, "--snapshot-every", "16"]
     if wal:
@@ -87,6 +93,8 @@ def batch_cmd(jsonl: str, out: str, slots: int, wal: str | None,
         cmd += ["--workers", str(workers)]
     if dead_letter:
         cmd += ["--dead-letter", dead_letter]
+    if faults:
+        cmd += ["--faults", faults]
     return cmd
 
 
@@ -622,6 +630,42 @@ def mode_poison(args, tmp: str, jsonl: str, env: dict) -> int:
         return 1
     print(f"[crash-harness] OK: {npoison} poison chains quarantined to the "
           f"dead letter, {len(mapped)} good chains identical to clean run")
+
+    # the same stream under an intake perturb plan: every scheduler
+    # validates a perturb-selected entry before mutating it, so planted
+    # entries still quarantine in-process and on the pool alike
+    faults = f"seed={args.seed},perturb=0.25"
+    survivors = {}
+    for workers in (1, args.workers):
+        out = os.path.join(tmp, f"perturbed-w{workers}.ndjson")
+        dl = os.path.join(tmp, f"perturbed-dead-w{workers}.ndjson")
+        proc = subprocess.run(
+            batch_cmd(poisoned, out, args.slots, wal=None, workers=workers,
+                      dead_letter=dl, faults=faults),
+            env=env, capture_output=True, text=True)
+        if proc.returncode not in (0, 2):
+            sys.stderr.write(proc.stderr)
+            print(f"[crash-harness] perturbed run (--workers {workers}) "
+                  f"ABORTED rc={proc.returncode}", file=sys.stderr)
+            return 1
+        quarantined = {d["chain"] for d in load_ndjson(dl)
+                       if d.get("kind") == "chain"}
+        if quarantined != set(slots_at):
+            print(f"[crash-harness] perturbed run (--workers {workers}) "
+                  f"dead letter mismatch: expected {slots_at}, ledger has "
+                  f"{sorted(quarantined)}", file=sys.stderr)
+            return 1
+        survivors[workers] = sorted(load_ndjson(out),
+                                    key=lambda d: d["chain"])
+    if survivors[1] != survivors[args.workers]:
+        print(f"[crash-harness] perturbed runs disagree: --workers 1 "
+              f"delivered {len(survivors[1])} rows, --workers "
+              f"{args.workers} {len(survivors[args.workers])}",
+              file=sys.stderr)
+        return 1
+    print(f"[crash-harness] OK: under --faults {faults} the planted chains "
+          f"quarantined with --workers 1 and --workers {args.workers}, "
+          f"{len(survivors[1])} survivor rows identical")
     return 0
 
 

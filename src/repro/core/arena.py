@@ -12,22 +12,25 @@ maintenance) keeps the fleet-wide arrays coherent for free.
 
 Layout.  A chain's slot base simultaneously offsets its *cells*
 (``base + chain_index``) and its *id space* (``base + robot_id`` —
-ids are handed out densely at construction and never grow), so one
-fixed table serves both addressings and ``base[c] + robot_id`` is a
-fleet-unique robot key.  Slots are exactly ``n0`` cells (the chain's
-initial length == its id-space size); contraction shrinks a chain
-within its slot (the chain re-packs into the slot prefix).
+ids never grow after a chain is built), so one fixed table serves
+both addressings and ``base[c] + robot_id`` is a fleet-unique robot
+key.  Slots are exactly ``n0`` cells, the chain's id-space size: its
+length for a fresh chain, more for an adopted chain whose robots have
+already merged.  Contraction shrinks a chain within its slot (the
+chain re-packs into the slot prefix).
 
-Lifecycle (DESIGN.md §2.11).  Slots are *reclaimable*: :meth:`retire`
-returns a finished chain's slot to a coalescing free list,
-:meth:`admit` packs an incoming chain into a free slot (best fit over
-hole sizes), and :meth:`compact` re-bases the live slots into the
-buffer prefix — re-pointing every chain view — when fragmentation
-blocks an admission that would otherwise fit.  Because admission
-reuses holes, slot bases are *not* ordered by chain id; the
-span-sized :attr:`owner` table maps any live cell back to its owning
-chain (the fixed ``searchsorted(base)`` lookup of the fixed-fleet
-arena would be wrong after the first out-of-order admission).
+Lifecycle (DESIGN.md §2.11).  Slots are *reclaimable*:
+:meth:`retire_batch` returns finished chains' slots to a coalescing
+free list, :meth:`reserve_batch` packs incoming chains into free
+slots (best fit over hole sizes) and :meth:`attach_batch` lands them
+in one scatter — the only way into the arena — and :meth:`compact`
+re-bases the live slots into the buffer prefix — re-pointing every
+chain view — when fragmentation blocks an admission that would
+otherwise fit.  Because admission reuses holes, slot bases are *not*
+ordered by chain id; the span-sized :attr:`owner` table maps any
+live cell back to its owning chain (the fixed ``searchsorted(base)``
+lookup of the fixed-fleet arena would be wrong after the first
+out-of-order admission).
 
 The compact *topology arrays* — the live cells in fleet order with
 per-cell cyclic predecessor/successor and owning chain — are rebuilt
@@ -40,7 +43,6 @@ steady-state rounds allocate nothing.
 
 from __future__ import annotations
 
-import bisect
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -110,15 +112,11 @@ class ChainArena:
 
     Parameters
     ----------
-    chains:
-        The initial fleet members (mutated in place as the fleet
-        steps).  Each chain is adopted: its backing arrays become
-        views into the arena buffers.  May be empty for a streaming
-        arena that fills by :meth:`admit`.
     capacity:
-        Total cell capacity.  Defaults to exactly the initial chains'
-        footprint; a larger value pre-provisions free space for
-        admissions (streaming tier).
+        Initial cell capacity, one free hole.  Chains enter only
+        through :meth:`reserve_batch` + :meth:`attach_batch` (the fleet
+        kernel's batched intake), which grow-or-compact on demand; a
+        kernel sizes the arena to its members' id spaces up front.
     """
 
     __slots__ = ("chains", "base", "n0", "length", "pos", "codes", "ids",
@@ -129,32 +127,28 @@ class ChainArena:
                  "_topo_start_buf", "_topo_start", "_topo_p0",
                  "topo_stats")
 
-    def __init__(self, chains: Sequence[ClosedChain] = (), capacity: int = 0):
-        self.chains: List[ClosedChain] = list(chains)
-        ns = np.array([c.n for c in self.chains], dtype=np.int64)
-        self.n0 = ns
-        self.base = np.concatenate([[0], np.cumsum(ns)[:-1]]) \
-            if len(ns) else np.empty(0, np.int64)
-        used = int(ns.sum())
-        cap = max(int(capacity), used)
+    def __init__(self, capacity: int = 0):
+        cap = int(capacity)
+        self.chains: List[Optional[ClosedChain]] = []
         # one padding row so reduceat segment ends may equal the span
         self.pos = np.empty((cap + 1, 2), dtype=np.int64)
         self.codes = np.empty(cap, dtype=np.int64)
         self.ids = np.empty(cap, dtype=np.int64)
         self.index = np.full(cap, -1, dtype=np.int64)
         self.owner = np.full(cap, -1, dtype=np.int64)
-        self.length = ns.copy()
-        self.live = np.ones(len(self.chains), dtype=bool)
         # the per-chain tables are views of amortised-doubling buffers
         # (admission appends a row; a growing stream must not pay a
         # full table copy per admitted chain)
-        self._base_buf = self.base
-        self._n0_buf = self.n0
-        self._len_buf = self.length
-        self._live_buf = self.live
+        self._base_buf = np.empty(0, dtype=np.int64)
+        self._n0_buf = np.empty(0, dtype=np.int64)
+        self._len_buf = np.empty(0, dtype=np.int64)
+        self._live_buf = np.empty(0, dtype=bool)
+        self.base = self._base_buf
+        self.n0 = self._n0_buf
+        self.length = self._len_buf
+        self.live = self._live_buf
         #: free holes as (offset, size) pairs, ascending by offset
-        self.free: List[Tuple[int, int]] = [(used, cap - used)] \
-            if cap > used else []
+        self.free: List[Tuple[int, int]] = [(0, cap)] if cap else []
         #: retired chain rows available for reuse, ascending.  Row
         #: recycling is what keeps every per-chain table — and every
         #: per-round count-sized pass over them — bounded by *peak
@@ -162,10 +156,10 @@ class ChainArena:
         #: millions must not decay as its chain tables grow.
         self.free_ids: List[int] = []
         self.scratch = ScratchPool()
-        self.live_cells = used
-        self.peak_cells = used
-        self.n_live = len(self.chains)
-        self.peak_live = self.n_live
+        self.live_cells = 0
+        self.peak_cells = 0
+        self.n_live = 0
+        self.peak_live = 0
         self._topo: Optional[Topology] = None
         self._topo_dirty = True
         # incremental-topology state: persistent compact-array buffers,
@@ -177,15 +171,12 @@ class ChainArena:
         self._topo_bufs: Optional[List[np.ndarray]] = None
         self._topo_len = 0
         self._topo_p0 = _TOPO_CLEAN
-        count = len(self.chains)
-        self._topo_start_buf = np.full(max(count, 8), -1, dtype=np.int64)
-        self._topo_start = self._topo_start_buf[:count]
+        self._topo_start_buf = np.empty(0, dtype=np.int64)
+        self._topo_start = self._topo_start_buf
         #: rebuild/delta instrumentation (streaming stats surface):
         #: full rebuilds vs suffix splices and total cells respliced
         self.topo_stats: Dict[str, int] = {
             "rebuilds": 0, "delta_ops": 0, "delta_cells": 0}
-        for ci in range(len(self.chains)):
-            self.attach(ci)
 
     # ------------------------------------------------------------------
     @property
@@ -207,119 +198,21 @@ class ChainArena:
         """Chain ids of the live fleet members, ascending."""
         return np.flatnonzero(self.live)
 
-    def live_count(self) -> int:
-        """Number of live fleet members (occupied slots), O(1)."""
-        return self.n_live
-
-    # ------------------------------------------------------------------
-    def attach(self, ci: int) -> None:
-        """(Re-)pack a chain into its slot and adopt its storage.
-
-        Called at construction and admission (the chain's arrays are
-        private then).  Copies the chain's current positions into the
-        slot prefix and re-points ``_arr`` at the arena; the edge-code
-        cache is carried over when the chain kept it alive (preserving
-        its exact zero-edge counter) and re-encoded into the slot
-        otherwise.  Refreshes the id, index and owner tables.
-        """
-        chain = self.chains[ci]
-        b = int(self.base[ci])
-        n = chain.n
-        self.length[ci] = n
-        seg = self.pos[b:b + n]
-        seg[:] = chain._arr
-        chain._arr = seg
-        buf = self.codes[b:b + n]
-        chain._codes_buf = buf
-        codes = chain._codes_cache
-        chain._codes_view_cache = None
-        if codes is not None and len(codes) == n:
-            buf[:] = codes
-            chain._codes_cache = buf
-        else:
-            chain._codes_cache = None
-            chain._codes_list_cache = None
-            chain.edge_codes()             # encode into the buffer
-        ids = chain.ids_array()
-        self.ids[b:b + n] = ids
-        idx_seg = self.index[b:b + int(self.n0[ci])]
-        idx_seg[:] = -1
-        idx_seg[ids] = np.arange(n, dtype=np.int64)
-        self.owner[b:b + int(self.n0[ci])] = ci
-        # topology upkeep belongs to the callers: __init__ starts
-        # dirty and admit() splices the new block in incrementally
-
     # ------------------------------------------------------------------
     # slot lifecycle
     # ------------------------------------------------------------------
-    def admit(self, chain: ClosedChain) -> int:
-        """Pack an incoming chain into a free slot (best fit).
-
-        Returns the chain id — the lowest retired row is recycled when
-        one exists (so the per-chain tables stay sized to peak
-        occupancy), a fresh row is appended otherwise — or ``-1`` when
-        no hole fits (the caller may :meth:`compact` — when the total
-        free space would fit — or :meth:`grow`, then retry).  The slot
-        is exactly ``chain.n`` cells; a larger hole is split and the
-        remainder stays free.
-        """
-        n = chain.n
-        best = -1
-        best_size = 0
-        for i, (_, size) in enumerate(self.free):
-            if size >= n and (best < 0 or size < best_size):
-                best = i
-                best_size = size
-                if size == n:              # exact fit: cannot do better
-                    break
-        if best < 0:
-            return -1
-        off, size = self.free[best]
-        if size == n:
-            del self.free[best]
-        else:
-            self.free[best] = (off + n, size - n)
-        if self.free_ids:
-            ci = self.free_ids.pop(0)      # lowest first: deterministic
-            self.chains[ci] = chain
-            self.base[ci] = off
-            self.n0[ci] = n
-            self.length[ci] = n
-            self.live[ci] = True
-        else:
-            ci = len(self.chains)
-            self.chains.append(chain)
-            count = ci + 1
-            self._base_buf = append_cell(self._base_buf, count, off)
-            self._n0_buf = append_cell(self._n0_buf, count, n)
-            self._len_buf = append_cell(self._len_buf, count, n)
-            self._live_buf = append_cell(self._live_buf, count, True)
-            self._topo_start_buf = append_cell(self._topo_start_buf,
-                                               count, -1)
-            self.base = self._base_buf[:count]
-            self.n0 = self._n0_buf[:count]
-            self.length = self._len_buf[:count]
-            self.live = self._live_buf[:count]
-            self._topo_start = self._topo_start_buf[:count]
-        self.attach(ci)
-        self.live_cells += n
-        if self.live_cells > self.peak_cells:
-            self.peak_cells = self.live_cells
-        self.n_live += 1
-        if self.n_live > self.peak_live:
-            self.peak_live = self.n_live
-        self._topo_insert(ci)
-        return ci
-
     def reserve_batch(self, ns: Sequence[int]) -> List[int]:
-        """:meth:`reserve` for a run of admissions (hot intake path).
+        """Reserve slots of ``ns`` cells each, in order (best fit).
 
-        Identical best-fit hole choice and row recycling per entry,
-        with the per-call attribute traffic hoisted and the row-table
-        writes batched into a few fancy-index stores.  Stops at the
-        first entry no hole fits — the caller compacts or grows and
-        retries the remainder — and returns the reserved chain ids of
-        the fitted prefix, in order.
+        Per entry, the smallest hole that fits is split (an exact fit
+        ends the search) and the lowest retired row is recycled — so
+        the per-chain tables stay sized to peak occupancy — or a fresh
+        row is appended; the row-table writes batch into a few
+        fancy-index stores.  Stops at the first entry no hole fits —
+        the caller compacts (when the total free space would fit) or
+        grows and retries the remainder — and returns the reserved
+        chain ids of the fitted prefix, in order.  The rows' chains
+        are ``None`` until :meth:`attach_batch` lands them.
         """
         free = self.free
         free_ids = self.free_ids
@@ -340,12 +233,15 @@ class ChainArena:
                     if size == n:          # exact fit: cannot do better
                         break
             if best < 0:
-                break
-            off, size = free[best]
-            if size == n:
-                del free[best]
+                if n:
+                    break
+                off = self.span            # an empty slot needs no hole
             else:
-                free[best] = (off + n, size - n)
+                off, size = free[best]
+                if size == n:
+                    del free[best]
+                else:
+                    free[best] = (off + n, size - n)
             if free_ids:
                 ci = free_ids.pop(0)       # lowest first: deterministic
                 chains[ci] = None
@@ -386,41 +282,44 @@ class ChainArena:
             self.peak_live = n_live
         return out
 
-    def topo_admit_batch(self, cis: Sequence[int]) -> None:
-        """Batched :meth:`_topo_insert` for an intake burst.
-
-        Every admitted row is stamped with the *burst's* lowest
-        insertion position rather than its own — a conservative
-        membership key (>= the damage mark at stamp time, <= the row's
-        true position, so the ``key >= damage`` membership test stays
-        exact and the next patch recomputes every stamped start) — and
-        one tail scan replaces the per-admission scans.
-        """
-        if not self._topo_live() or not len(cis):
-            return
-        ci0 = min(cis)
-        tail = self._topo_start[ci0 + 1:]
-        present = tail[tail >= 0]
-        p0 = int(present.min()) if len(present) else self._topo_len
-        self._topo_start[cis] = p0
-        if p0 < self._topo_p0:
-            self._topo_p0 = p0
-
     def attach_batch(self, cis: Sequence[int],
                      arrs: Sequence[np.ndarray],
                      codes: Sequence[np.ndarray],
-                     zero_counts: Sequence[int]) -> None:
-        """Adopt a burst of reserved slots in one splice.
+                     zero_counts: Sequence[int],
+                     chains: Sequence[Optional[ClosedChain]]) -> None:
+        """Land a burst of reserved slots in one splice.
 
-        ``cis``/``arrs``/``codes``/``zero_counts`` are parallel: each
-        slot from :meth:`reserve` receives its chain's positions and
-        pre-computed edge codes through a single fleet-wide scatter.
-        Fresh chains carry ids ``0..n-1`` in chain order, so the id and
-        index tables fill from the identity layout, and the chain
-        object is a lightweight view over the slot (no per-chain
-        encode, validation or dict build) exactly like
-        :meth:`revive_chain` produces.
+        The lists run parallel to ``cis`` (slots from
+        :meth:`reserve_batch`): each chain's positions and edge codes
+        arrive through a single fleet-wide scatter.  ``chains[j]`` is
+        ``None`` for a fresh chain — ids ``0..n-1`` in chain order, so
+        the id and index tables fill from the identity layout, and the
+        chain object is a lightweight view over the slot (no per-chain
+        encode, validation or dict build) carrying ``zero_counts[j]``
+        zero edges.  Otherwise it is the :class:`ClosedChain` to adopt
+        in place: its own ids fill the tables (merged-away ids resolve
+        to -1 across the rest of its id space), its arrays become
+        views of the slot, and its Python-side caches and zero-edge
+        counter carry over (``codes[j]`` must be its live code cache).
+
+        The burst's blocks join the topology through one damage stamp
+        (no-op while a full rebuild is pending).  A block belongs
+        between its chain-id neighbours, at the smallest block start
+        among live rows with a larger id (the topology tail length
+        when there is none); every row of the burst is stamped with
+        the burst's lowest such position rather than its own — a
+        conservative membership key (>= the damage mark at stamp time,
+        <= the row's true position, so the ``key >= damage``
+        membership test stays exact and the next patch recomputes
+        every stamped start) — so one tail scan serves the burst.
         """
+        if self._topo_live():
+            tail = self._topo_start[min(cis) + 1:]
+            present = tail[tail >= 0]
+            p0 = int(present.min()) if len(present) else self._topo_len
+            self._topo_start[cis] = p0
+            if p0 < self._topo_p0:
+                self._topo_p0 = p0
         k = len(cis)
         cis_a = np.asarray(cis, dtype=np.int64)
         ns = np.fromiter((len(a) for a in arrs), np.int64, count=k)
@@ -431,6 +330,7 @@ class ChainArena:
         dst = self.base[cis_a][rep] + within
         self.pos[dst] = np.concatenate(arrs) if k > 1 else arrs[0]
         self.codes[dst] = np.concatenate(codes) if k > 1 else codes[0]
+        self.length[cis_a] = ns
         # fresh slots are exactly n cells (n0 == n): the identity
         # id/index layout covers the whole slot, no -1 backfill needed
         self.ids[dst] = within
@@ -438,24 +338,48 @@ class ChainArena:
         self.owner[dst] = cis_a[rep]
         for j in range(k):
             ci = int(cis_a[j])
-            b = int(self.base[ci])
             n = int(ns[j])
-            chain = ClosedChain.__new__(ClosedChain)
-            chain._arr = self.pos[b:b + n]
-            buf = self.codes[b:b + n]
-            chain._codes_buf = buf
-            chain._codes_cache = buf
-            chain._codes_list_cache = None
-            chain._codes_view_cache = None
-            chain._pos_cache = None
-            chain._invalid_edges = int(zero_counts[j])
-            chain._next_id = n
-            chain._ids = list(range(n))
-            # fresh __new__ object: no id dict to drop, the lazy
-            # __getattr__ builds it on first by-id access
-            chain._ids_arr_cache = None
-            chain._index_arr_cache = None
+            chain = chains[j]
+            if chain is None:
+                self._chain_view(ci, int(zero_counts[j]), list(range(n)), n)
+                continue
+            b = int(self.base[ci])
+            n0 = int(self.n0[ci])
+            ids = chain.ids_array()
+            self.ids[b:b + n] = ids
+            idx_seg = self.index[b:b + n0]
+            idx_seg[:] = -1
+            idx_seg[ids] = np.arange(n, dtype=np.int64)
+            self.owner[b:b + n0] = ci
             self.chains[ci] = chain
+            self._repoint(ci)
+
+    def _chain_view(self, ci: int, invalid_edges: int, ids: List[int],
+                    next_id: int) -> ClosedChain:
+        """A new :class:`ClosedChain` viewing slot ``ci`` as it stands.
+
+        The slot's positions and codes are exact, so the view adopts
+        them as its arrays and code cache (no copy, no encode); its
+        Python-side caches start cold — the lazy ``__getattr__``
+        builds the id dict on first by-id access.
+        """
+        b = int(self.base[ci])
+        n = int(self.length[ci])
+        chain = ClosedChain.__new__(ClosedChain)
+        chain._arr = self.pos[b:b + n]
+        buf = self.codes[b:b + n]
+        chain._codes_buf = buf
+        chain._codes_cache = buf
+        chain._codes_list_cache = None
+        chain._codes_view_cache = None
+        chain._pos_cache = None
+        chain._invalid_edges = invalid_edges
+        chain._next_id = next_id
+        chain._ids = ids
+        chain._ids_arr_cache = None
+        chain._index_arr_cache = None
+        self.chains[ci] = chain
+        return chain
 
     def _release_slot(self, off: int, size: int) -> None:
         """Insert a hole into the free list, coalescing neighbours."""
@@ -476,29 +400,14 @@ class ChainArena:
             free[lo - 1] = (free[lo - 1][0], free[lo - 1][1] + free[lo][1])
             del free[lo]
 
-    def retire(self, ci: int) -> None:
-        """Return a finished chain's slot (and row) to the free lists."""
-        self.live[ci] = False
-        self._release_slot(int(self.base[ci]), int(self.n0[ci]))
-        self.live_cells -= int(self.n0[ci])
-        self.n_live -= 1
-        bisect.insort(self.free_ids, ci)
-        if self._topo_live():
-            p0 = int(self._topo_start[ci])
-            self._topo_start[ci] = -1
-            if p0 < self._topo_p0:
-                self._topo_p0 = p0
-        else:
-            self._topo_dirty = True
-
     def retire_batch(self, cis: np.ndarray) -> None:
-        """Retire many chains at once: one merge pass over the free list.
+        """Return finished chains' slots (and rows) to the free lists.
 
         The retiring slots and the existing holes are both sorted and
         disjoint, so one linear two-list merge — coalescing adjacent
-        entries as it goes — replaces the per-chain bisect-inserts of
-        :meth:`retire` (a draining stream retires most of a fleet in a
-        few of these calls).
+        entries as it goes — replaces per-chain bisect-inserts (a
+        draining stream retires most of a fleet in a few of these
+        calls).
         """
         cis = np.asarray(cis, dtype=np.int64)
         if len(cis) == 0:
@@ -732,23 +641,6 @@ class ChainArena:
         self.topo_stats["delta_ops"] += 1
         self.topo_stats["delta_cells"] += self._topo_len - p0
 
-    def _topo_insert(self, ci: int) -> None:
-        """Splice a freshly admitted chain's block into the topology.
-
-        The block belongs between its chain-id neighbours: insertion
-        position is the smallest block start among live rows with a
-        larger id (the topology tail length when there is none).
-        No-op (stays dirty) when a full rebuild is already pending.
-        """
-        if not self._topo_live():
-            return
-        tail = self._topo_start[ci + 1:]
-        present = tail[tail >= 0]
-        p0 = int(present.min()) if len(present) else self._topo_len
-        self._topo_start[ci] = p0
-        if p0 < self._topo_p0:
-            self._topo_p0 = p0
-
     def topo_contract(self, cis: np.ndarray) -> None:
         """Re-splice after contraction shrank ``cis``'s lengths.
 
@@ -888,49 +780,42 @@ class ChainArena:
                       meta: Dict[str, int]) -> "ChainArena":
         """Rebuild an arena from :meth:`snapshot_state` output.
 
-        All buffers are copied (the restored arena never aliases the
-        snapshot arrays).  Chain objects are *not* revived here — the
-        ``chains`` list holds ``None`` placeholders until the kernel
-        calls :meth:`revive_chain` for each live slot.
+        Builds through the constructor, then copies every buffer in
+        (the restored arena never aliases the snapshot arrays).  Chain
+        objects are *not* revived here — the ``chains`` list holds
+        ``None`` placeholders until the kernel calls
+        :meth:`revive_chain` for each live slot.
         """
-        self = cls.__new__(cls)
         count = int(meta["count"])
         span = len(arrays["codes"])
-        self.pos = np.empty((span + 1, 2), dtype=np.int64)
+        self = cls(span)
         self.pos[:span] = arrays["pos"]
-        self.codes = np.array(arrays["codes"], dtype=np.int64)
-        self.ids = np.array(arrays["ids"], dtype=np.int64)
-        self.index = np.array(arrays["index"], dtype=np.int64)
-        self.owner = np.array(arrays["owner"], dtype=np.int64)
+        self.codes[:] = arrays["codes"]
+        self.ids[:] = arrays["ids"]
+        self.index[:] = arrays["index"]
+        self.owner[:] = arrays["owner"]
         self._base_buf = np.array(arrays["base"], dtype=np.int64)
         self._n0_buf = np.array(arrays["n0"], dtype=np.int64)
         self._len_buf = np.array(arrays["length"], dtype=np.int64)
         self._live_buf = np.array(arrays["live"], dtype=bool)
+        self._topo_start_buf = np.full(count, -1, dtype=np.int64)
         self.base = self._base_buf[:count]
         self.n0 = self._n0_buf[:count]
         self.length = self._len_buf[:count]
         self.live = self._live_buf[:count]
+        self._topo_start = self._topo_start_buf
         self.free = [(int(o), int(s))
                      for o, s in np.asarray(arrays["free"]).reshape(-1, 2)]
         self.free_ids = [int(i) for i in arrays["free_ids"]]
         self.chains = [None] * count
-        self.scratch = ScratchPool()
         self.live_cells = int(meta["live_cells"])
         self.peak_cells = int(meta["peak_cells"])
         self.n_live = int(meta["n_live"])
         self.peak_live = int(meta["peak_live"])
-        self._topo = None
-        self._topo_dirty = True
-        self._topo_bufs = None
-        self._topo_len = 0
-        self._topo_p0 = _TOPO_CLEAN
-        self._topo_start_buf = np.full(max(count, 8), -1, dtype=np.int64)
-        self._topo_start = self._topo_start_buf[:count]
-        self.topo_stats = {
-            "rebuilds": int(meta.get("topo_rebuilds", 0)),
-            "delta_ops": int(meta.get("topo_delta_ops", 0)),
-            "delta_cells": int(meta.get("topo_delta_cells", 0)),
-        }
+        self.topo_stats.update(
+            rebuilds=int(meta.get("topo_rebuilds", 0)),
+            delta_ops=int(meta.get("topo_delta_ops", 0)),
+            delta_cells=int(meta.get("topo_delta_cells", 0)))
         return self
 
     def revive_chain(self, ci: int) -> ClosedChain:
@@ -938,26 +823,14 @@ class ChainArena:
 
         Snapshots are taken at round boundaries, where the arena's
         position and code buffers are exact, so the revived chain
-        adopts them directly (``_invalid_edges = 0``) and rebuilds
-        only its Python-side id index.  Ids are handed out densely at
-        admission and never grow, so ``_next_id`` is the slot's ``n0``.
+        adopts them directly (no zero edges) and rebuilds only its
+        Python-side id list.  The slot spans the chain's id space, so
+        ``_next_id`` is the slot's ``n0``.
         """
         b = int(self.base[ci])
         n = int(self.length[ci])
-        chain = ClosedChain.__new__(ClosedChain)
-        chain._arr = self.pos[b:b + n]
-        buf = self.codes[b:b + n]
-        chain._codes_buf = buf
-        chain._codes_cache = buf
-        chain._codes_list_cache = None
-        chain._codes_view_cache = None
-        chain._pos_cache = None
-        chain._invalid_edges = 0
-        chain._next_id = int(self.n0[ci])
-        chain._ids = self.ids[b:b + n].tolist()
-        chain._rebuild_index()
-        self.chains[ci] = chain
-        return chain
+        return self._chain_view(ci, 0, self.ids[b:b + n].tolist(),
+                                int(self.n0[ci]))
 
     # ------------------------------------------------------------------
     def apply_moves(self, gidx: np.ndarray, deltas: np.ndarray,

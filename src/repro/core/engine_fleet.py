@@ -87,6 +87,57 @@ def as_chain(c: Union[ClosedChain, Sequence[Vec]],
     return c
 
 
+def admit_outcome(idx: int, exc: Exception) -> ChainOutcome:
+    """The structured outcome of stream entry ``idx`` rejected at
+    admission: its per-chain error class and message, quarantined."""
+    return ChainOutcome(index=idx, error=type(exc).__name__,
+                        message=str(exc), stage="admit", quarantined=True)
+
+
+def intake_fault(faults, idx: int, entry, validate: bool, quarantine: bool,
+                 stats: Dict[str, int]) -> Tuple[Optional[str], object]:
+    """Apply a fault plan's intake decision to stream entry ``idx``.
+
+    The one intake-fault policy of every scheduler — the in-process
+    pull loop, the shard scheduler and the supervised pool call it at
+    pull time, under the consumed index.  Returns ``(kind, entry)``:
+    ``kind`` is ``None`` (admit ``entry`` untouched), ``"crash"``
+    (drop it; the index stays consumed), ``"perturb"`` (admit the
+    returned mutated positions) or ``"quarantine"`` (``entry`` is the
+    admit-stage :class:`ChainOutcome` to deliver in its place).  A
+    perturb-selected entry is validated before it is mutated; an
+    invalid one raises its per-chain error unless ``quarantine``.
+    Drops and perturbations are counted in ``stats``; a quarantine is
+    left to the caller's own accounting.
+    """
+    kind = faults.decide(idx)
+    if kind == "crash":
+        stats["fault_crashed"] += 1
+        return kind, None
+    if kind == "perturb":
+        try:
+            chain = as_chain(entry, validate)
+        except (ChainError, ValueError, TypeError) as exc:
+            if not quarantine:
+                raise
+            return "quarantine", admit_outcome(idx, exc)
+        entry = faults.mutate(idx, chain.positions)
+        stats["fault_perturbed"] += 1
+    return kind, entry
+
+
+def _id_space(c) -> int:
+    """Slot cells a constructor member needs (its id space) — best
+    effort before parsing: an unsized payload counts 0 and the intake
+    grows the arena instead."""
+    if isinstance(c, ClosedChain):
+        return c._next_id
+    try:
+        return len(c)
+    except TypeError:
+        return 0
+
+
 def parse_burst(payload_list: List[object], validate: bool):
     """Parse one intake burst into arrays (the batched-admission seam).
 
@@ -470,53 +521,45 @@ class FleetKernel:
                  check_invariants: bool = False,
                  keep_reports: bool = True,
                  validate_initial: bool = True,
-                 numpy_min_runs: Optional[int] = None,
-                 capacity: int = 0):
-        objs: List[ClosedChain] = []
-        for c in chains:
-            if not isinstance(c, ClosedChain):
-                c = ClosedChain(c, require_disjoint_neighbors=validate_initial)
-            elif validate_initial:
-                c.validate(initial=True)
-            objs.append(c)
+                 numpy_min_runs: Optional[int] = None):
+        members = list(chains)
         self.params = params
-        self.arena = ChainArena(objs, capacity=capacity)
+        # sized to the members' id spaces, so the burst below packs
+        # them back to back in input order with no grow or compaction
+        self.arena = ChainArena(sum(_id_space(c) for c in members))
         self.registry = RunRegistry()
         self.registry.keep_stopped = False   # never read; skip view builds
         self.round_index = 0
         self.numpy_min_runs = numpy_min_runs
-        self._single = len(objs) == 1
         self._check = check_invariants
         self._keep = keep_reports
         self._validate = validate_initial
-        n_chains = len(objs)
-        self._n0 = [c.n for c in objs]
+        #: per-chain initial length (``initial_n`` of the result)
+        self._n0: List[int] = []
         #: global round each chain entered the fleet (0 for the initial
         #: members).  A chain's *local* round — what its own simulator
         #: would call ``round_index`` — is ``round_index - birth[ci]``;
         #: the start-interval phase, the round budget and the report
         #: numbering all run on local rounds, which is what makes
         #: mid-run admission bit-identical to a fresh single run.
-        self.birth = np.zeros(n_chains, dtype=np.int64)
+        self.birth = np.empty(0, dtype=np.int64)
         #: per-chain round budgets from the parameters' stall bound; a
         #: ``max_rounds`` cap is applied at check time by the run that
         #: carries it, never written here (so one capped run cannot
         #: leak its cap into later admissions or runs)
-        self._budgets = np.array([params.round_budget(n) for n in self._n0],
-                                 dtype=np.int64)
+        self._budgets = np.empty(0, dtype=np.int64)
         # amortised-doubling backing for the two admission-appended
         # columns (same pattern as the arena's per-chain tables)
         self._birth_buf = self.birth
         self._budget_buf = self._budgets
-        self.reports: List[List[RoundReport]] = [[] for _ in range(n_chains)]
-        self.results: List[Optional[GatheringResult]] = [None] * n_chains
+        self.reports: List[List[RoundReport]] = []
+        self.results: List[Optional[GatheringResult]] = []
         #: internal chain row -> external stream position.  Rows are
         #: recycled after retirement (the per-chain tables stay sized
         #: to peak occupancy — million-chain streams must not decay as
         #: the tables grow), so the stream index a result is yielded
-        #: under lives here; for a fixed fleet the mapping is identity.
-        self._ext_of: List[int] = list(range(n_chains))
-        self._submitted = n_chains
+        #: under lives here; for the constructor members it is identity.
+        self._ext_of: List[int] = []
         #: streaming telemetry (admissions, lifecycle churn, injected
         #: faults; peak occupancy lives on the arena)
         self.stream_stats: Dict[str, int] = {
@@ -545,86 +588,24 @@ class FleetKernel:
         #: splice plan (removed positions / survivor overwrites) so the
         #: sync can edit the live caches in place
         self._ids_dirty: Dict[int, Optional[dict]] = {}
+        # the members enter like any stream burst (stream indices
+        # 0..k-1), raising the first invalid member's error
+        self._admit_batch(list(enumerate(members)), None, False)
+        self._submitted = len(members)
+        #: a fleet of one runs the single-segment tiers until the first
+        #: stream admission
+        self._single = len(members) == 1
 
     # ------------------------------------------------------------------
-    def _peek_ext(self) -> int:
-        """The next external stream index (without consuming it)."""
-        if self._ext_list is not None:
-            return int(self._ext_list[self._ext_pos])
-        return self._submitted
-
-    def _next_ext(self) -> int:
-        """Consume and return the next external stream index."""
-        ext = self._peek_ext()
-        if self._ext_list is not None:
-            self._ext_pos += 1
-        self._submitted += 1
-        return ext
-
-    # ------------------------------------------------------------------
-    def admit(self, chain: ClosedChain, slots_hint: Optional[int] = None,
-              _ext: Optional[int] = None) -> int:
-        """Admit a chain into a reclaimed arena slot (streaming tier).
-
-        Best-fit over the free holes; when fragmentation blocks a fit
-        that the total free space allows, the arena compacts and the
-        admission retries; only a genuine capacity shortfall grows the
-        buffers (``slots_hint`` provisions a uniform stream's whole
-        working set — slot budget × this chain's size — in one step).
-        The chain starts at local round 0: birth round, round budget
-        and report numbering are per chain.  Returns the chain id.
-        """
-        n = chain.n
-        arena = self.arena
-        ci = arena.admit(chain)
-        if ci < 0 and arena.free_cells >= n:
-            arena.compact()
-            self.stream_stats["compactions"] += 1
-            ci = arena.admit(chain)
-        if ci < 0:
-            want = arena.live_cells + n
-            if slots_hint is not None:
-                want = max(want, slots_hint * n)
-            # span + n guarantees the grown tail hole alone fits the
-            # chain even when the existing free space is fragmented
-            arena.grow(max(want, 2 * arena.span, arena.span + n))
-            self.stream_stats["grows"] += 1
-            ci = arena.admit(chain)
-        self._single = False
-        ext = self._next_ext() if _ext is None else _ext
-        self._register_row(ci, n, ext)
-        return ci
-
-    def _register_row(self, ci: int, n: int, ext: int) -> None:
-        """Fleet-side row bookkeeping for one admission (any intake path)."""
-        budget = self._budget_memo.get(n)
-        if budget is None:
-            budget = self.params.round_budget(n)
-            self._budget_memo[n] = budget
-        if ci < len(self._n0):             # recycled row: reset in place
-            self._n0[ci] = n
-            self.birth[ci] = self.round_index
-            self._budgets[ci] = budget
-            self.reports[ci] = []
-            self.results[ci] = None
-            self._ext_of[ci] = ext
-        else:
-            self._n0.append(n)
-            count = ci + 1
-            self._birth_buf = append_cell(self._birth_buf, count,
-                                          self.round_index)
-            self._budget_buf = append_cell(self._budget_buf, count,
-                                           budget)
-            self.birth = self._birth_buf[:count]
-            self._budgets = self._budget_buf[:count]
-            self.reports.append([])
-            self.results.append(None)
-            self._ext_of.append(ext)
-        self.stream_stats["admitted"] += 1
-
     def _register_rows(self, cis: List[int], ns: List[int],
                        exts: List[int]) -> None:
-        """Batched :meth:`_register_row` for one reserved run."""
+        """Fleet-side row bookkeeping for one reserved run.
+
+        Recycled rows reset in place; fresh rows append (they come
+        back from :meth:`ChainArena.reserve_batch` in ascending order,
+        one past the current count each).  Every admitted chain starts
+        at local round 0 with its size's round budget.
+        """
         n0 = self._n0
         reports = self.reports
         results = self.results
@@ -633,99 +614,67 @@ class FleetKernel:
         rec: List[int] = []
         buds: List[int] = []
         for ci, n, ext in zip(cis, ns, exts):
+            b = memo.get(n)
+            if b is None:
+                b = self.params.round_budget(n)
+                memo[n] = b
             if ci < len(n0):               # recycled row: reset in place
                 n0[ci] = n
                 reports[ci] = []
                 results[ci] = None
                 ext_of[ci] = ext
-                b = memo.get(n)
-                if b is None:
-                    b = self.params.round_budget(n)
-                    memo[n] = b
                 rec.append(ci)
                 buds.append(b)
             else:
-                self._register_row(ci, n, ext)
+                n0.append(n)
+                reports.append([])
+                results.append(None)
+                ext_of.append(ext)
+                count = ci + 1
+                self._birth_buf = append_cell(self._birth_buf, count,
+                                              self.round_index)
+                self._budget_buf = append_cell(self._budget_buf, count, b)
+        count = len(n0)
+        self.birth = self._birth_buf[:count]
+        self._budgets = self._budget_buf[:count]
         if rec:
             idx = np.asarray(rec, dtype=np.int64)
             self.birth[idx] = self.round_index
             self._budgets[idx] = buds
-            self.stream_stats["admitted"] += len(rec)
+        self.stream_stats["admitted"] += len(cis)
 
     # ------------------------------------------------------------------
     def _admit_batch(self, pulled: List[Tuple[int, object]],
                      slots_hint: Optional[int], quarantine: bool
-                     ) -> Tuple[List[int], List[Tuple[int, Exception]]]:
+                     ) -> Tuple[List[int], List[ChainOutcome]]:
         """Admit one intake burst: batched parse, validate and attach.
 
-        ``pulled`` is the burst's ``(stream index, payload)`` list in
-        stream order.  Raw point sequences — the streaming tier's
-        common case — parse, validate and edge-encode in one
-        vectorised pass over the concatenated burst and land in the
-        arena through :meth:`ChainArena.reserve` +
-        :meth:`ChainArena.attach_batch` splices; ``ClosedChain``
-        payloads and entries the batch pass rejects fall back to the
-        per-chain path, whose constructor raises the exact per-chain
-        error for quarantine.  The admission order, hole choices,
-        compaction/grow points and error messages are identical to
-        admitting each entry through :meth:`admit`.  Returns
-        ``(admitted chain ids, quarantined (index, error) pairs)``.
+        The only way into the arena (DESIGN.md §2.14), for stream
+        entries and constructor members alike.  ``pulled`` is the
+        burst's ``(stream index, payload)`` list in stream order.  Raw
+        point sequences parse, validate and edge-encode in one
+        vectorised pass over the concatenated burst; ``ClosedChain``
+        payloads are validated by their own
+        :meth:`~ClosedChain.validate` and adopted in place, on a slot
+        of their id space; entries the batch pass rejects re-run the
+        per-chain constructor for its exact error.  Admissions reserve
+        slots in stream order through
+        :meth:`ChainArena.reserve_batch` — when no hole fits, the
+        arena compacts (if the total free space would fit) or grows
+        (``slots_hint`` provisions a uniform stream's whole working
+        set — slot budget × this chain's size — in one step) — and
+        land through :meth:`ChainArena.attach_batch`.  Under
+        ``quarantine`` a rejected entry becomes an admit-stage outcome
+        instead of raising.  Returns ``(admitted chain ids, quarantine
+        outcomes)``.
         """
         arena = self.arena
         payloads, arrs, code, starts, offs, ns, zcs, bad = parse_burst(
             [payload for _ext, payload in pulled], self._validate)
-        fresh: List[int] = []
-        qpairs: List[Tuple[int, Exception]] = []
-        pend_ci: List[int] = []
-        pend_pos: List[np.ndarray] = []
-        pend_codes: List[np.ndarray] = []
-        pend_zc: List[int] = []
-
-        def flush() -> None:
-            # attach everything reserved so far; must run before any
-            # operation that walks the live chain objects
-            if pend_ci:
-                arena.topo_admit_batch(pend_ci)
-                arena.attach_batch(pend_ci, pend_pos, pend_codes, pend_zc)
-                del pend_ci[:], pend_pos[:], pend_codes[:], pend_zc[:]
-
-        run: List[Tuple[int, int, np.ndarray]] = []   # (ext, seg j, arr)
-
-        def do_run() -> None:
-            # reserve + register a run of batch-validated entries;
-            # when a hole is missing mid-run, attach what fits, then
-            # compact or grow (the same escalation admit() uses) and
-            # retry the remainder
-            k = 0
-            while k < len(run):
-                tail = run[k:]
-                ns_run = [int(ns[j]) for _e, j, _a in tail]
-                got = arena.reserve_batch(ns_run)
-                for (ext, j, a), ci in zip(tail, got):
-                    pend_ci.append(ci)
-                    pend_pos.append(a)
-                    pend_codes.append(code[starts[j]:offs[j]])
-                    pend_zc.append(int(zcs[j]))
-                    fresh.append(ci)
-                self._register_rows(got, ns_run[:len(got)],
-                                    [e for e, _j, _a in
-                                     tail[:len(got)]])
-                k += len(got)
-                if k < len(run):
-                    n = ns_run[len(got)]
-                    flush()
-                    if arena.free_cells >= n:
-                        arena.compact()
-                        self.stream_stats["compactions"] += 1
-                    else:
-                        want = arena.live_cells + n
-                        if slots_hint is not None:
-                            want = max(want, slots_hint * n)
-                        arena.grow(max(want, 2 * arena.span,
-                                       arena.span + n))
-                        self.stream_stats["grows"] += 1
-            del run[:]
-
+        rejected: List[ChainOutcome] = []
+        # admissible entries in stream order: (stream index, slot
+        # cells, positions, codes, zero edges, chain to adopt or None)
+        run: List[tuple] = []
         gpos = 0
         for i, (ext, _) in enumerate(pulled):
             a = arrs[i]
@@ -733,26 +682,55 @@ class FleetKernel:
                 j = gpos
                 gpos += 1
                 if not bad[j]:
-                    run.append((ext, j, a))
+                    run.append((ext, len(a), a, code[starts[j]:offs[j]],
+                                int(zcs[j]), None))
                     continue
                 payload = a                # rejected: re-run per chain
             else:
                 payload = payloads[i]
-            do_run()
-            flush()
             try:
-                ci = self.admit(as_chain(payload, self._validate),
-                                slots_hint=slots_hint, _ext=ext)
+                chain = as_chain(payload, self._validate)
             except (ChainError, ValueError, TypeError) as exc:
                 if not quarantine:
                     raise
-                qpairs.append((ext, exc))
+                rejected.append(admit_outcome(ext, exc))
                 continue
-            fresh.append(ci)
-        do_run()
-        flush()
+            if chain._codes_cache is None \
+                    or len(chain._codes_cache) != chain.n:
+                # no live code cache: encode privately (never into the
+                # buffer of an arena the chain was viewing before)
+                chain._codes_buf = None
+                chain._codes_cache = chain._codes_list_cache = None
+                chain.edge_codes()
+            run.append((ext, chain._next_id, chain._arr, chain._codes_cache,
+                        chain._invalid_edges, chain))
+        fresh: List[int] = []
+        k = 0
+        while k < len(run):
+            tail = run[k:]
+            got = arena.reserve_batch([e[1] for e in tail])
+            if got:
+                exts, _, pos, codes, zero, adopt = zip(*tail[:len(got)])
+                arena.attach_batch(got, pos, codes, zero, adopt)
+                self._register_rows(got, [len(p) for p in pos], exts)
+                fresh.extend(got)
+                k += len(got)
+            if k < len(run):
+                n = run[k][1]
+                if arena.free_cells >= n:
+                    arena.compact()
+                    self.stream_stats["compactions"] += 1
+                else:
+                    want = arena.live_cells + n
+                    if slots_hint is not None:
+                        want = max(want, slots_hint * n)
+                    # span + n guarantees the grown tail hole alone
+                    # fits the chain even when the existing free space
+                    # is fragmented
+                    arena.grow(max(want, 2 * arena.span, arena.span + n))
+                    self.stream_stats["grows"] += 1
         self._single = False
-        return fresh, qpairs
+        return fresh, rejected
 
     # ------------------------------------------------------------------
     def run(self, max_rounds: Optional[int] = None,
@@ -913,19 +891,16 @@ class FleetKernel:
             if wal is not None and delivered:
                 wal.append("yield", i=delivered)
 
-        def quar(idx, exc):
+        def quar(outcome):
             # poisoned stream entry: the input never became a live
             # chain, so quarantine consumes its stream index (gap,
             # never a shift) and yields a structured error outcome
             self.stream_stats["quarantined"] += 1
             if wal is not None:
-                wal.append("quarantine", i=idx,
+                wal.append("quarantine", i=outcome.index,
                            r=self.round_index, stage="admit",
-                           error=type(exc).__name__)
-            return emit([(idx, ChainOutcome(
-                index=idx, error=type(exc).__name__,
-                message=str(exc), stage="admit",
-                quarantined=True))])
+                           error=outcome.error)
+            return emit([(outcome.index, outcome)])
 
         if wal is not None:
             snap()                         # baseline (or resume re-base)
@@ -991,39 +966,28 @@ class FleetKernel:
                         # the stream index is consumed at pull time so
                         # every entry of the burst decides faults under
                         # its own index (dropped and quarantined
-                        # entries keep theirs: gaps, never shifts);
-                        # inline _next_ext — this runs once per entry
+                        # entries keep theirs: gaps, never shifts)
                         if self._ext_list is None:
                             idx = self._submitted
-                            self._submitted += 1
                         else:
-                            idx = self._next_ext()
+                            idx = int(self._ext_list[self._ext_pos])
+                            self._ext_pos += 1
+                        self._submitted += 1
                         if faults is not None:
-                            kind = faults.decide(idx)
-                            if kind == "crash":
-                                self.stream_stats["fault_crashed"] += 1
-                                if wal is not None:
-                                    wal.append("fault", i=idx,
-                                               kind="crash")
+                            kind, nxt = intake_fault(
+                                faults, idx, nxt, self._validate,
+                                quarantine, self.stream_stats)
+                            if kind == "quarantine":
+                                yield from quar(nxt)
                                 continue
-                            if kind == "perturb":
-                                try:
-                                    c = as_chain(nxt, self._validate)
-                                except (ChainError, ValueError,
-                                        TypeError) as exc:
-                                    if not quarantine:
-                                        raise
-                                    yield from quar(idx, exc)
-                                    continue
-                                nxt = faults.mutate(idx, c.positions)
-                                self.stream_stats["fault_perturbed"] += 1
-                                if wal is not None:
-                                    wal.append("fault", i=idx,
-                                               kind="perturb")
+                            if kind is not None and wal is not None:
+                                wal.append("fault", i=idx, kind=kind)
+                            if kind == "crash":
+                                continue
                         pulled.append((idx, nxt))
                     if not pulled:
                         continue
-                    batch_fresh, qpairs = self._admit_batch(
+                    batch_fresh, rejected = self._admit_batch(
                         pulled, slots, quarantine)
                     if faults is not None:
                         for ci in batch_fresh:
@@ -1031,8 +995,8 @@ class FleetKernel:
                             if mid is not None:
                                 self._mid_faults[ci] = mid
                     fresh.extend(batch_fresh)
-                    for idx, exc in qpairs:
-                        yield from quar(idx, exc)
+                    for outcome in rejected:
+                        yield from quar(outcome)
                 if wal is not None and fresh:
                     # one record per intake burst, not per chain
                     wal.append("admit", i=[self._ext_of[ci] for ci in fresh],

@@ -314,24 +314,9 @@ class RunRegistry:
         return self._data[:, COL_STEPS]
 
     @property
-    def born(self) -> np.ndarray:
-        """Birth rounds, indexed by run id."""
-        return self._data[:, COL_BORN]
-
-    @property
-    def hop_count(self) -> np.ndarray:
-        """Reshapement hop counters, indexed by run id."""
-        return self._data[:, COL_HOPS]
-
-    @property
     def stop_code(self) -> np.ndarray:
         """Stop-reason codes (0 = active), indexed by run id."""
         return self._data[:, COL_STOP]
-
-    @property
-    def axis_parity(self) -> np.ndarray:
-        """Axis parity (0 = x, 1 = y), indexed by run id."""
-        return (self._data[:, COL_AXY] != 0).astype(np.int64)
 
     @property
     def chain_col(self) -> np.ndarray:
@@ -475,18 +460,6 @@ class RunRegistry:
         data = self._data
         return tuple(int(data[rid, COL_DIRN])
                      for rid in self._ensure_by_robot().get(robot_id, ()))
-
-    def has_crowding(self) -> bool:
-        """True when some robot carries more than one run.
-
-        O(1) against a clean per-robot index (fewer robots than runs
-        means some robot holds two); falls back to one array pass when
-        the index is stale after a bulk advance.
-        """
-        if not self._by_robot_dirty:
-            return len(self._by_robot) < len(self._active)
-        robots = self._data[self.active_slots(), COL_ROBOT]
-        return int(np.unique(robots).size) < len(robots)
 
     def round_state(self, index_map: Dict[int, int]
                     ) -> Tuple[Callable[[int], Tuple[int, ...]],

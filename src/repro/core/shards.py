@@ -47,11 +47,11 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.admission import Starved
 from repro.core.config import DEFAULT_PARAMETERS, Parameters
-from repro.core.engine_fleet import FleetKernel, as_chain
+from repro.core.engine_fleet import FleetKernel, intake_fault
 from repro.core.faults import FaultPlan
 from repro.core.results import ChainOutcome
 from repro.core.supervisor import _maybe_test_kill, mid_run_faults_doc
-from repro.errors import ChainError, WorkerCrashError
+from repro.errors import WorkerCrashError
 
 #: consecutive no-progress worker deaths a shard survives; the next one
 #: quarantines its residents (or aborts the stream)
@@ -344,24 +344,14 @@ def shard_stream(source, *,
             idx = submitted
             submitted += 1
             if faults is not None:
-                kind = faults.decide(idx)
-                if kind == "crash":
-                    stats["fault_crashed"] += 1
+                kind, nxt = intake_fault(faults, idx, nxt, validate_initial,
+                                         quarantine, stats)
+                if kind == "quarantine":
+                    stats["quarantined"] += 1
+                    early.append((idx, nxt))
                     continue
-                if kind == "perturb":
-                    try:
-                        c = as_chain(nxt, validate_initial)
-                    except (ChainError, ValueError, TypeError) as exc:
-                        if not quarantine:
-                            raise
-                        stats["quarantined"] += 1
-                        early.append((idx, ChainOutcome(
-                            index=idx, error=type(exc).__name__,
-                            message=str(exc), stage="admit",
-                            quarantined=True)))
-                        continue
-                    nxt = faults.mutate(idx, c.positions)
-                    stats["fault_perturbed"] += 1
+                if kind == "crash":
+                    continue
             pulled.append((idx, nxt))
         return pulled, early
 

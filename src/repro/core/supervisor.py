@@ -284,6 +284,7 @@ def pool_stream(stream: Iterable,
     """
     from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Future,
                                     ProcessPoolExecutor, wait)
+    from repro.core.engine_fleet import intake_fault
     if as_positions is None:
         as_positions = lambda c: c                        # noqa: E731
     workers = min(workers, slots)
@@ -465,13 +466,14 @@ def pool_stream(stream: Iterable,
     try:
         for i, c in enumerate(stream):
             if faults is not None:
-                kind = faults.decide(i)
-                if kind == "crash":
-                    st["fault_crashed"] += 1
+                kind, c = intake_fault(faults, i, c, validate_initial,
+                                       on_error == "quarantine", st)
+                if kind == "quarantine":
+                    done += 1
+                    yield i, c
                     continue
-                if kind == "perturb":
-                    c = faults.mutate(i, as_positions(c))
-                    st["fault_perturbed"] += 1
+                if kind == "crash":
+                    continue
             k = i % workers
             buffers[k].append((i, as_positions(c)))
             if len(buffers[k]) >= chunk_size:

@@ -316,19 +316,17 @@ def load_fleet_snapshot(path: str) -> Tuple[Any, Dict[str, Any]]:
         birth = np.array(z["k_birth"], dtype=np.int64)
         budgets = np.array(z["k_budgets"], dtype=np.int64)
 
+    kernel = FleetKernel([], params=params_from_doc(meta["params"]),
+                         check_invariants=bool(meta["check"]),
+                         keep_reports=bool(meta["keep"]),
+                         validate_initial=bool(meta["validate"]),
+                         numpy_min_runs=meta["numpy_min_runs"])
     arena = ChainArena.restore_state(arena_arrays, meta["arena"])
-    registry = RunRegistry.restore_state(reg_arrays, meta["registry"])
     count = len(arena.chains)
-    kernel = FleetKernel.__new__(FleetKernel)
-    kernel.params = params_from_doc(meta["params"])
     kernel.arena = arena
-    kernel.registry = registry
+    kernel.registry = RunRegistry.restore_state(reg_arrays, meta["registry"])
     kernel.round_index = int(meta["round_index"])
-    kernel.numpy_min_runs = meta["numpy_min_runs"]
     kernel._single = bool(meta["single"])
-    kernel._check = bool(meta["check"])
-    kernel._keep = bool(meta["keep"])
-    kernel._validate = bool(meta["validate"])
     kernel._n0 = [int(n) for n in meta["n0"]]
     kernel._birth_buf = birth
     kernel._budget_buf = budgets
@@ -340,17 +338,11 @@ def load_fleet_snapshot(path: str) -> Tuple[Any, Dict[str, Any]]:
     kernel.results = [None] * count
     kernel._ext_of = [int(x) for x in meta["ext_of"]]
     kernel._submitted = int(meta["submitted"])
-    kernel.stream_stats = {k: int(v)
-                           for k, v in meta["stream_stats"].items()}
+    kernel.stream_stats.update(
+        (k, int(v)) for k, v in meta["stream_stats"].items())
     kernel._mid_faults = {int(ci): (str(kind), int(trig))
                           for ci, (kind, trig)
                           in meta.get("mid_faults", {}).items()}
-    kernel._budget_memo = {}
-    kernel._ext_list = None
-    kernel._ext_pos = 0
-    kernel._ids_dirty = {}
-    kernel._wal = None
-    kernel._wal_rec = None
     for ci in arena.live_indices().tolist():
         arena.revive_chain(ci)
     return kernel, dict(meta["stream"])

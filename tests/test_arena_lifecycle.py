@@ -1,11 +1,12 @@
 """Arena slot lifecycle and the streaming fleet scheduler.
 
 The streaming tier (DESIGN.md §2.11) turns the arena's fixed segments
-into reclaimable slots: :meth:`ChainArena.retire` returns a slot to a
-coalescing free list, :meth:`ChainArena.admit` best-fit packs an
-incoming chain into a hole, and :meth:`ChainArena.compact` re-bases
-the live slots when fragmentation blocks a fit.  These tests drive
-random retire → reclaim → admit → compact cycles and assert the
+into reclaimable slots: :meth:`ChainArena.retire_batch` returns slots
+to a coalescing free list, :meth:`ChainArena.reserve_batch` best-fit
+packs incoming chains into holes (landed by
+:meth:`ChainArena.attach_batch`), and :meth:`ChainArena.compact`
+re-bases the live slots when fragmentation blocks a fit.  These tests
+drive random retire → reclaim → admit → compact cycles and assert the
 arena's structural invariants — fleet-unique robot keys, coherent
 owner/id/index tables, coherent topology arrays — plus the scheduler
 property that matters most: chains admitted mid-run through
@@ -31,8 +32,32 @@ from tests.conftest import closed_chain_positions
 
 
 # ---------------------------------------------------------------------------
-# coherence assertions
+# batched-intake helpers and coherence assertions
 # ---------------------------------------------------------------------------
+
+def admit(arena: ChainArena, chain: ClosedChain) -> int:
+    """Admit one chain through the batched intake, adopted in place.
+
+    Returns its row, or -1 when no hole fits (the caller may compact
+    or grow and retry).
+    """
+    got = arena.reserve_batch([chain._next_id])
+    if not got:
+        return -1
+    arena.attach_batch(got, [chain._arr], [chain.edge_codes()],
+                       [chain._invalid_edges], [chain])
+    return got[0]
+
+
+def arena_of(chains, capacity: int = 0) -> ChainArena:
+    """An arena holding ``chains`` back to back, in order (plus any
+    spare ``capacity``), as a kernel's constructor lays out its
+    members."""
+    arena = ChainArena(max(capacity, sum(c._next_id for c in chains)))
+    for chain in chains:
+        admit(arena, chain)
+    return arena
+
 
 def assert_arena_coherent(arena: ChainArena) -> None:
     """Structural invariants of the slot lifecycle.
@@ -164,13 +189,13 @@ class TestScratchPool:
 class TestSlotLifecycle:
     def test_retire_reclaims_and_admit_reuses(self):
         chains = [ClosedChain(square_ring(8)) for _ in range(4)]
-        arena = ChainArena(chains)
+        arena = arena_of(chains)
         n = chains[0].n
         base1 = int(arena.base[1])
         assert arena.free_cells == 0
-        arena.retire(1)
+        arena.retire_batch([1])
         assert arena.free_cells == n
-        ci = arena.admit(ClosedChain(square_ring(8)))
+        ci = admit(arena, ClosedChain(square_ring(8)))
         assert ci == 1                      # row recycled, tables bounded
         assert int(arena.base[ci]) == base1  # slot reused
         assert arena.free_cells == 0
@@ -182,45 +207,45 @@ class TestSlotLifecycle:
                   ClosedChain(square_ring(6)),    # keeper between holes
                   ClosedChain(square_ring(8)),    # small slot
                   ClosedChain(square_ring(6))]
-        arena = ChainArena(chains)
-        arena.retire(0)
-        arena.retire(2)                     # two non-adjacent holes
+        arena = arena_of(chains)
+        arena.retire_batch([0])
+        arena.retire_batch([2])  # two non-adjacent holes
         assert len(arena.free) == 2
         small = ClosedChain(square_ring(8))
-        ci = arena.admit(small)
+        ci = admit(arena, small)
         assert int(arena.base[ci]) == int(arena.base[2]),  \
             "best fit must pick the smaller hole"
         assert_arena_coherent(arena)
 
     def test_free_list_coalesces(self):
         chains = [ClosedChain(square_ring(8)) for _ in range(3)]
-        arena = ChainArena(chains)
-        arena.retire(0)
-        arena.retire(2)
+        arena = arena_of(chains)
+        arena.retire_batch([0])
+        arena.retire_batch([2])
         assert len(arena.free) == 2
-        arena.retire(1)                     # bridges both neighbours
+        arena.retire_batch([1])  # bridges both neighbours
         assert len(arena.free) == 1
         assert arena.free[0] == (0, arena.span)
 
     def test_admit_returns_minus_one_when_fragmented(self):
         chains = [ClosedChain(square_ring(8)) for _ in range(4)]
-        arena = ChainArena(chains)
-        arena.retire(0)
-        arena.retire(2)                     # two disjoint small holes
+        arena = arena_of(chains)
+        arena.retire_batch([0])
+        arena.retire_batch([2])  # two disjoint small holes
         big = ClosedChain(square_ring(14))
         assert big.n > chains[0].n
-        assert arena.admit(big) == -1
+        assert admit(arena, big) == -1
         if arena.free_cells >= big.n:
             arena.compact()
-            assert arena.admit(big) >= 0
+            assert admit(arena, big) >= 0
         assert_arena_coherent(arena)
 
     def test_compact_rebases_and_repoints(self):
         chains = [ClosedChain(square_ring(8)) for _ in range(5)]
-        arena = ChainArena(chains)
+        arena = arena_of(chains)
         positions = {ci: arena.chains[ci].positions for ci in (1, 3, 4)}
-        arena.retire(0)
-        arena.retire(2)
+        arena.retire_batch([0])
+        arena.retire_batch([2])
         reclaimed = arena.compact()
         assert reclaimed >= 0
         assert len(arena.free) == 1
@@ -232,7 +257,7 @@ class TestSlotLifecycle:
 
     def test_grow_preserves_content(self):
         chains = [ClosedChain(square_ring(8)) for _ in range(2)]
-        arena = ChainArena(chains)
+        arena = arena_of(chains)
         before = [c.positions for c in chains]
         old_span = arena.span
         arena.grow(old_span * 3)
@@ -240,9 +265,21 @@ class TestSlotLifecycle:
         assert [c.positions for c in arena.chains] == before
         assert_arena_coherent(arena)
         # the new tail is a single admissible hole
-        ci = arena.admit(ClosedChain(square_ring(8)))
+        ci = admit(arena, ClosedChain(square_ring(8)))
         assert ci == 2
         assert_arena_coherent(arena)
+
+    def test_empty_chain_needs_no_hole(self):
+        # a chain with no robots lands even when no cell is free:
+        # compacting or growing cannot make room for zero cells, so an
+        # intake that waited for a hole would spin forever
+        kernel = FleetKernel([ClosedChain([], validate=False)],
+                             validate_initial=False)
+        assert kernel.arena.span == 0 and kernel.arena.n_live == 1
+        arena = arena_of([ClosedChain(square_ring(3))])
+        assert arena.free_cells == 0
+        assert admit(arena, ClosedChain([], validate=False)) == 1
+        assert int(arena.n0[1]) == 0 and arena.free_cells == 0
 
     def test_kernel_admit_grows_past_fragmented_free_space(self):
         # free space smaller than the incoming chain *and* fragmented:
@@ -250,18 +287,18 @@ class TestSlotLifecycle:
         # chain on its own
         kernel = FleetKernel([square_ring(6), square_ring(6),
                               square_ring(6)], validate_initial=False)
-        kernel.arena.retire(0)
-        kernel.arena.retire(2)              # two disjoint 20-cell holes
+        kernel.arena.retire_batch([0])
+        kernel.arena.retire_batch([2])  # two disjoint 20-cell holes
         big = ClosedChain(square_ring(20))  # n = 76 > free total
         assert kernel.arena.free_cells < big.n
-        ci = kernel.admit(big)
+        (ci,), _ = kernel._admit_batch([(3, big)], None, False)
         assert ci >= 0
         assert kernel.stream_stats["grows"] == 1
         assert_arena_coherent(kernel.arena)
 
     def test_capacity_preprovisions_free_space(self):
         chains = [ClosedChain(square_ring(8))]
-        arena = ChainArena(chains, capacity=chains[0].n * 4)
+        arena = arena_of(chains, capacity=chains[0].n * 4)
         assert arena.free_cells == chains[0].n * 3
         assert_arena_coherent(arena)
 
@@ -272,8 +309,8 @@ class TestSlotLifecycle:
         rng_seed = data.draw(st.integers(0, 2 ** 16))
         rng = random.Random(rng_seed)
         sizes = [6, 8, 10, 14]
-        arena = ChainArena([ClosedChain(square_ring(rng.choice(sizes)))
-                            for _ in range(data.draw(st.integers(1, 5)))])
+        arena = arena_of([ClosedChain(square_ring(rng.choice(sizes)))
+                          for _ in range(data.draw(st.integers(1, 5)))])
         live = set(range(len(arena.chains)))
         ops = data.draw(st.lists(
             st.sampled_from(["retire", "admit", "compact", "grow"]),
@@ -282,16 +319,16 @@ class TestSlotLifecycle:
             if op == "retire" and live:
                 ci = rng.choice(sorted(live))
                 live.discard(ci)
-                arena.retire(ci)
+                arena.retire_batch([ci])
             elif op == "admit":
                 chain = ClosedChain(square_ring(rng.choice(sizes)))
-                ci = arena.admit(chain)
+                ci = admit(arena, chain)
                 if ci < 0 and arena.free_cells >= chain.n:
                     arena.compact()
-                    ci = arena.admit(chain)
+                    ci = admit(arena, chain)
                 if ci < 0:
                     arena.grow(arena.span + chain.n)
-                    ci = arena.admit(chain)
+                    ci = admit(arena, chain)
                 assert ci >= 0
                 live.add(ci)
             elif op == "compact":
@@ -501,8 +538,8 @@ class TestIncrementalTopology:
         every single operation."""
         rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
         sizes = [6, 8, 10, 14]
-        arena = ChainArena([ClosedChain(square_ring(rng.choice(sizes)))
-                            for _ in range(data.draw(st.integers(2, 5)))])
+        arena = arena_of([ClosedChain(square_ring(rng.choice(sizes)))
+                          for _ in range(data.draw(st.integers(2, 5)))])
         arena.topology()               # materialise the maintained state
         live = set(range(len(arena.chains)))
         ops = data.draw(st.lists(
@@ -513,13 +550,13 @@ class TestIncrementalTopology:
             if op == "retire" and live:
                 ci = rng.choice(sorted(live))
                 live.discard(ci)
-                arena.retire(ci)
+                arena.retire_batch([ci])
             elif op == "admit":
                 chain = ClosedChain(square_ring(rng.choice(sizes)))
-                ci = arena.admit(chain)
+                ci = admit(arena, chain)
                 if ci < 0:
                     arena.grow(arena.span + chain.n)
-                    ci = arena.admit(chain)
+                    ci = admit(arena, chain)
                 live.add(ci)
             elif op == "move" and live:
                 # robots moving never touches the topology arrays
@@ -546,13 +583,13 @@ class TestIncrementalTopology:
             arena.verify_topology()
 
     def test_retire_admit_patches_without_rebuild(self):
-        arena = ChainArena([ClosedChain(square_ring(8))
-                            for _ in range(4)])
+        arena = arena_of([ClosedChain(square_ring(8))
+                          for _ in range(4)])
         arena.topology()
         builds0 = arena.topo_stats["rebuilds"]
-        arena.retire(1)
+        arena.retire_batch([1])
         arena.verify_topology()
-        ci = arena.admit(ClosedChain(square_ring(8)))
+        ci = admit(arena, ClosedChain(square_ring(8)))
         assert ci == 1
         arena.verify_topology()
         assert arena.topo_stats["rebuilds"] == builds0, \
@@ -560,22 +597,21 @@ class TestIncrementalTopology:
         assert arena.topo_stats["delta_ops"] > 0
 
     def test_batch_admission_stamps_conservative_keys(self):
-        # topo_admit_batch stamps every burst row with the burst's
+        # attach_batch stamps every burst row with the burst's
         # lowest insertion position; the next topology() call must
         # resolve them all to exact block starts
-        arena = ChainArena([ClosedChain(square_ring(8))
-                            for _ in range(5)])
+        arena = arena_of([ClosedChain(square_ring(8))
+                          for _ in range(5)])
         arena.topology()
         arena.retire_batch(np.array([1, 3]))
         arena.verify_topology()
         got = arena.reserve_batch([28, 28])
         assert got == [1, 3]
         chains = [ClosedChain(square_ring(8)) for _ in got]
-        arena.topo_admit_batch(got)
         arena.attach_batch(got,
                            [c.positions_array() for c in chains],
                            [c.edge_codes() for c in chains],
-                           [0, 0])
+                           [0, 0], [None, None])
         arena.verify_topology()
         assert_arena_coherent(arena)
 

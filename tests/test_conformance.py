@@ -10,11 +10,13 @@ conflict counters) and the live run-registry states themselves.
 Families: rings, stairways, serpentines, blobs, perturbed shapes,
 merge-dense crenellations/combs, and mid-gathering snapshots (states
 captured partway through a reference gathering, restarted under every
-engine).  Both kernel decision paths (adaptive scalar and forced
-NumPy) are exercised, as are the hypothesis-generated random and
-merge-dense chains.  The detector-level equivalence (reference scan
-vs NumPy scan) rides along, since the engines' conformance rests on
-it.
+engine) — both as fresh position lists and as the reference's own
+chain objects, whose merged robots leave gaps in the id space, on
+every engine and on the fleet's batch and stream paths.  Both kernel
+decision paths (adaptive scalar and forced NumPy) are exercised, as
+are the hypothesis-generated random and merge-dense chains.  The
+detector-level equivalence (reference scan vs NumPy scan) rides
+along, since the engines' conformance rests on it.
 """
 
 import random
@@ -22,6 +24,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from repro.core.engine_fleet import FleetKernel, gather_fleet
 from repro.core.engine_vectorized import find_merge_patterns_np
 from repro.core.patterns import find_merge_patterns
 from repro.core.runs import RunRegistry
@@ -66,6 +69,12 @@ SCENARIOS = {
 #: that the chain is still far from gathered.
 MID_GATHERING = [("ring_large", 5), ("stairway", 8), ("merge_dense", 2),
                  ("blob", 3)]
+
+#: (family, round) pairs whose reference chain has merged robots by
+#: then: it keeps the survivors' ids, so its ids are no longer 0..n-1
+#: and its id space (``_next_id``) exceeds its length.
+MERGED = [("merge_dense", 1), ("merge_dense_tall", 1), ("ring_large", 17),
+          ("blob", 1)]
 
 
 def _registry_state(registry: RunRegistry):
@@ -118,6 +127,30 @@ def _mid_state(family, rounds):
     return sim.chain.positions
 
 
+def _merged_chain(family, rounds):
+    """The reference engine's own chain after ``rounds`` rounds."""
+    sim = Simulator(list(SCENARIOS[family]()), engine="reference",
+                    check_invariants=False)
+    for _ in range(rounds):
+        sim.step()
+    chain = sim.chain
+    assert chain.n < chain._next_id and not sim.is_gathered()
+    return chain
+
+
+def _result_key(res):
+    return (res.gathered, res.stalled, res.rounds, res.initial_n,
+            res.final_n, res.final_positions,
+            [_report_key(r) for r in res.reports])
+
+
+def _reference_outcome(chain):
+    """(result key, final ids) of the reference gathering a copy."""
+    sim = Simulator(chain.copy(), engine="reference",
+                    check_invariants=False, validate_initial=False)
+    return _result_key(sim.run()), sim.chain.ids
+
+
 class TestScenarioFamilies:
     @pytest.mark.parametrize("engine", VARIANT_ENGINES)
     @pytest.mark.parametrize("family", sorted(SCENARIOS))
@@ -140,6 +173,44 @@ class TestScenarioFamilies:
                    for e in ENGINES]
         assert len({r.rounds for r in results}) == 1
         assert len({tuple(r.final_positions) for r in results}) == 1
+
+
+class TestMergedChains:
+    """Chains whose robots have merged, gathered from the chain object.
+
+    Every engine and fleet path adopts a ``copy()`` of the chain (ids
+    and id space intact) and must finish exactly like the reference:
+    rounds, final positions, final ids and every report.
+    """
+
+    @pytest.mark.parametrize("engine", VARIANT_ENGINES)
+    @pytest.mark.parametrize("family,rounds", MERGED, ids=lambda v: str(v))
+    def test_engines(self, family, rounds, engine):
+        chain = _merged_chain(family, rounds)
+        ref = _reference_outcome(chain)
+        sim = Simulator(chain.copy(), engine=engine, check_invariants=True,
+                        validate_initial=False)
+        assert (_result_key(sim.run()), sim.chain.ids) == ref
+
+    def test_gather_fleet(self):
+        chains = [_merged_chain(f, r) for f, r in MERGED]
+        copies = [c.copy() for c in chains]
+        results = gather_fleet(copies, check_invariants=True,
+                               validate_initial=False)
+        for chain, copy, res in zip(chains, copies, results):
+            assert (_result_key(res), copy.ids) == _reference_outcome(chain)
+
+    def test_run_stream_payloads(self):
+        # two slots for four chains: later chains land in recycled rows
+        chains = [_merged_chain(f, r) for f, r in MERGED]
+        copies = [c.copy() for c in chains]
+        kernel = FleetKernel([], check_invariants=True,
+                             validate_initial=False)
+        got = dict(kernel.run_stream(iter(copies), slots=2))
+        assert sorted(got) == list(range(len(chains)))
+        for i, chain in enumerate(chains):
+            assert (_result_key(got[i]), copies[i].ids) == \
+                _reference_outcome(chain)
 
 
 class TestKernelDecisionPaths:

@@ -5,8 +5,11 @@ regular test suite — a regression in the algorithm that breaks a figure
 semantics shows up here, not only in the slow experiment report.
 """
 
+import json
+
 import pytest
 
+from repro.experiments import regen_cond5_witness
 from repro.experiments.exp_figures import scenario_functions
 from repro.experiments.exp_table1 import condition_functions
 from repro.experiments.harness import (
@@ -32,6 +35,16 @@ def test_figure_scenarios(fid, title, fn):
     ids=[name.replace(" ", "-") for name, _ in condition_functions()])
 def test_table1_conditions(name, fn):
     assert fn(), f"Table 1 condition {name} did not fire as specified"
+
+
+def test_cond5_witness_fixture_reproduces():
+    # the pinned Table 1.5 witness must be exactly what the
+    # deterministic sweep finds, serialised the way main() writes it
+    # (main() itself is never called here: it rewrites the fixture)
+    witness = regen_cond5_witness.find_witness()
+    expected = (json.dumps(witness, indent=1) + "\n").encode("utf-8")
+    with open(regen_cond5_witness._DATA_PATH, "rb") as fh:
+        assert fh.read() == expected
 
 
 class TestHarness:

@@ -182,6 +182,34 @@ class TestMidRunFaults:
         assert solo == pooled
 
 
+class TestIntakeFaults:
+    def test_perturb_selected_poison_quarantines_on_every_scheduler(self):
+        # one intake-fault policy: an invalid entry that the plan picks
+        # for perturbation is validated before it is mutated, so it
+        # quarantines at admit in-process, on the pool and on the
+        # shards alike instead of aborting the stream
+        from repro.core.admission import QueueSource, feed_queue
+        stream = [square_ring(4), POISON, square_ring(5)]
+        plan = FaultPlan(seed=3, perturb=1.0)
+
+        def outcomes(workers, chains):
+            sup = StreamSupervisor(slots=4, workers=workers, faults=plan)
+            return {o.index: (o.error, o.message, o.stage,
+                              o.ok and canon(o.result))
+                    for o in sup.run(chains)}
+
+        solo = outcomes(1, stream)
+        assert sorted(solo) == [0, 1, 2]
+        assert solo[1][:3] == ("ChainError",
+                               "initial closed chain needs n >= 4, got 2",
+                               "admit")
+        assert solo[0][3] and solo[2][3]
+        assert outcomes(2, stream) == solo            # the supervised pool
+        source = QueueSource()
+        feed_queue(source, stream)
+        assert outcomes(2, source) == solo            # the shard tier
+
+
 class TestSupervisedPool:
     def _arm(self, tmp_path, count, *indices):
         counter = tmp_path / "kills"
