@@ -400,7 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gather", help="run the gathering algorithm")
     add_chain_args(g)
-    g.add_argument("--engine", choices=ENGINES, default="reference")
+    g.add_argument("--engine", choices=ENGINES, default="kernel",
+                   help="round engine (default: kernel; reference is "
+                        "the executable specification)")
     g.add_argument("--max-rounds", type=int, default=None)
     g.add_argument("--check", action="store_true",
                    help="enable per-round invariant checking")

@@ -847,9 +847,10 @@ class ChainArena:
         maintained here — the flat arrays are the fleet's source of
         truth and chain-level state settles at the fleet's sync points
         (``FleetKernel._sync_ids`` / retirement), so a round costs no
-        per-chain loop.  Single-segment arenas move through
-        :meth:`ClosedChain.apply_moves_indexed` instead, which *does*
-        keep the chain caches coherent.
+        per-chain loop.  A single-segment arena's quiet rounds move
+        through :meth:`ClosedChain.apply_moves_indexed` instead, which
+        *does* keep the chain caches coherent; its merge-dense rounds
+        scatter here and the fleet drops the chain's stale caches.
 
         Returns the global cells of the edges that *became* zero this
         round, ascending — exactly the fleet's coincident neighbour

@@ -11,8 +11,10 @@ executing fleet-wide.  A fleet of 256 small chains presents the
 decision stage with thousands of runs per round, which keeps it on
 the NumPy path a per-chain loop could never reach; a *single-segment*
 arena is the ``"kernel"`` engine (:mod:`repro.core.engine_kernel` is
-a thin adapter), with adaptive scalar tiers for the stages a lone
-small chain cannot amortise.
+a thin adapter), with per-chain tiers for the stages whose array
+dispatch a quiet round of one chain cannot amortise: the tiers switch
+on per-round activity (executed merge patterns, active runs), not on
+chain count.
 
 Per-chain results are **bit-identical** to running each chain through
 ``Simulator(engine="kernel")``: same rounds, same final positions,
@@ -72,6 +74,15 @@ _CODE_TO_DIR = CODE_TO_DIR
 _DIR_TABLE = np.array(CODE_TO_DIR, dtype=np.int64)
 
 _EMPTY_CELLS = np.empty(0, dtype=np.int64)
+
+#: Merge patterns executed in one round from which a single-segment
+#: arena plans the next round's merges and scatters its moves on the
+#: fleet array stages instead of the per-chain tier (DESIGN.md §2.9).
+#: The measured break-even: the median per-round merge cost on the
+#: seed-1 solo_mix round states, per-chain vs array tier, is 175 vs
+#: 255 µs at 16-31 executed patterns and 350 vs 261 µs at 32-63.
+#: Multi-chain fleets always run the array stages.
+ARRAY_MIN_PATTERNS = 32
 
 
 def as_chain(c: Union[ClosedChain, Sequence[Vec]],
@@ -503,25 +514,23 @@ class FleetKernel:
         bookkeeping.
     validate_initial:
         Enforce the paper's initial-configuration assumptions.
-    numpy_min_runs:
-        Scalar/NumPy crossover of the decision stage for a
-        *single-segment* arena (the fleet-of-one that backs
-        ``Simulator(engine="kernel")``): below this many active runs
-        the tight scalar fold of
-        :func:`~repro.core.decisions_vectorized.decide_and_apply_scalar`
-        beats the array dispatch overhead.  ``None`` uses the shared
-        :data:`~repro.core.decisions_vectorized.NUMPY_MIN_RUNS`
-        default; multi-chain fleets always run the NumPy path (their
-        run counts amortise it by construction).  Behaviourally
-        identical either way (tests pin both paths).
+
+    A *single-segment* arena (the fleet-of-one that backs
+    ``Simulator(engine="kernel")``) runs per-chain tiers on its quiet
+    rounds: the per-chain merge detector and movement scatter while
+    the previous round executed fewer than :data:`ARRAY_MIN_PATTERNS`
+    merge patterns, the scalar decision fold and run advance below
+    :data:`~repro.core.decisions_vectorized.NUMPY_MIN_RUNS` active
+    runs.  Multi-chain fleets always run the array stages.  Both
+    tiers of every stage are behaviourally identical (the conformance
+    suite pins each switch both ways).
     """
 
     def __init__(self, chains: Sequence[Union[ClosedChain, Sequence[Vec]]],
                  params: Parameters = DEFAULT_PARAMETERS,
                  check_invariants: bool = False,
                  keep_reports: bool = True,
-                 validate_initial: bool = True,
-                 numpy_min_runs: Optional[int] = None):
+                 validate_initial: bool = True):
         members = list(chains)
         self.params = params
         # sized to the members' id spaces, so the burst below packs
@@ -530,7 +539,11 @@ class FleetKernel:
         self.registry = RunRegistry()
         self.registry.keep_stopped = False   # never read; skip view builds
         self.round_index = 0
-        self.numpy_min_runs = numpy_min_runs
+        #: merge patterns the previous round executed: a single
+        #: segment's merge and movement tier key on it.  Speed only,
+        #: so snapshots do not carry it and a restored kernel starts
+        #: on the per-chain tier
+        self._prev_patterns = 0
         self._check = check_invariants
         self._keep = keep_reports
         self._validate = validate_initial
@@ -850,7 +863,6 @@ class FleetKernel:
                        keep_reports=self._keep,
                        check_invariants=self._check,
                        validate_initial=self._validate,
-                       numpy_min_runs=self.numpy_min_runs,
                        on_error=on_error,
                        faults=faults.to_doc() if faults is not None
                        else None)
@@ -1269,8 +1281,13 @@ class FleetKernel:
 
     # ------------------------------------------------------------------
     def _step_round(self) -> None:
-        """One FSYNC round for every live chain (kernel-engine order)."""
-        arena, registry, params = self.arena, self.registry, self.params
+        """One FSYNC round for every live chain (kernel-engine order).
+
+        Each stage picks its own tier (per-chain or fleet arrays) from
+        the round's activity; see :meth:`_chain_tier`, :meth:`_decide`
+        and :meth:`_advance_stage`.
+        """
+        arena = self.arena
         round_index = self.round_index
         keep = self._keep
         if self._wal is not None:
@@ -1282,12 +1299,11 @@ class FleetKernel:
             # All four ship as pack_ints blobs, not JSON int lists:
             # per-integer encoding dominated the WAL's overhead.
             self._wal_rec = {"mv": (), "rm": [], "st": (), "tm": ()}
-        base = arena.base
         chains = arena.chains
         if self._single:
-            # the single-segment tiers (per-chain detector, scalar
-            # decisions, movement scatter) read the chain's Python-side
-            # views; settle the deferred id bookkeeping first (no-op on
+            # the per-chain tiers (detector, scalar decisions, movement
+            # scatter, run advance) read the chain's Python-side views;
+            # settle the deferred id bookkeeping first (no-op on
             # contraction-free rounds)
             self._sync_ids(0)
         live = arena.live_indices()
@@ -1303,100 +1319,24 @@ class FleetKernel:
         # (chain, stop-reason code) tallies for the round reports
         terminated: List[Tuple[int, int]] = []
 
-        # 1-2. merge plan: fleet-wide RLE detection and planning (the
-        # kernel engine's n >= 4 gate applies per chain).  A
-        # single-segment arena routes through the per-chain detector
-        # and planner (shared with the vectorised engine) — same plan,
-        # a fraction of the gather indirection
-        plan: Optional[FleetMergePlan] = None
-        part_flat: Optional[np.ndarray] = None
-        if self._single:
-            if arena.length[0] >= 4:
-                plan = self._merge_plan_single(params.effective_k_max)
-        else:
-            eligible = np.zeros(len(chains), dtype=bool)
-            eligible[live] = arena.length[live] >= 4
-            cand = _fleet_merge_candidates(arena, eligible,
-                                           params.effective_k_max) \
-                if eligible.any() else None
-            if cand is not None:
-                plan = _fleet_plan_merges(arena, *cand)
-        if plan is not None:
-            part_flat = plan.part_flat
+        # 1-2. merge plan --------------------------------------------------
+        plan = self._merge_stage(live)
+        part_flat = plan.part_flat if plan is not None else None
 
         # 3, 5-6. run decisions, fused with their registry application ------
         dec = self._decide(part_flat, round_index)
         terminated.extend(dec.terminated)
 
-        # 4. run starts (every L-th *local* round; mid-run admission
-        # staggers the phase per chain, so the scan carries a chain
-        # eligibility mask whenever the fleet is out of phase) ----------
-        starts: Optional[FleetStarts] = None
-        if self._single:
-            do_starts = round_index % params.start_interval == 0
-            start_mask = None
-        else:
-            ph = (round_index - self.birth[live]) % params.start_interval == 0
-            do_starts = bool(ph.any())
-            start_mask = None
-            if do_starts and not ph.all():
-                start_mask = np.zeros(len(chains), dtype=bool)
-                start_mask[live[ph]] = True
-        if do_starts:
-            starts = _fleet_run_starts(arena, start_mask)
-            if starts is not None and part_flat is not None:
-                # merge participants never start runs (Table 1.3); the
-                # candidate cells are snapshot cells, so the mask
-                # applies by direct global-cell lookup
-                keep_start = ~part_flat[starts[0]]
-                if not keep_start.all():
-                    starts = tuple(s[keep_start] for s in starts)
+        # 4. run starts ----------------------------------------------------
+        starts = self._start_stage(live, part_flat)
 
-        # 6'. simultaneous movement: merge hops + accepted runner hops.
-        # Single-segment arenas scatter through the chain's adaptive
-        # incremental-code path (scalar below ~32 movers); multi-chain
-        # fleets take the arena-wide scatter
-        pidx = plan.hop_gidx if plan is not None else _EMPTY_CELLS
-        didx = dec.move_gidx
-        if not len(pidx):
-            move_g, move_v = didx, dec.move_deltas
-            move_c = dec.move_chain
-        elif not len(didx):
-            move_g, move_v, move_c = pidx, plan.hop_vec, plan.hop_chain
-        else:
-            move_g = np.concatenate(
-                [pidx, np.asarray(didx, dtype=np.int64)])
-            move_v = np.concatenate(
-                [plan.hop_vec,
-                 np.asarray(dec.move_deltas, dtype=np.int64).reshape(-1, 2)])
-            move_c = np.concatenate(
-                [plan.hop_chain, np.asarray(dec.move_chain, dtype=np.int64)])
-        if self._wal_rec is not None and len(move_g):
-            # captured before the scatter: ids are only rewritten by
-            # the later contraction, and a single segment's chain
-            # indices are its global cells, so arena.ids[move_g] is
-            # the mover's robot id on both paths
-            mg = np.asarray(move_g, dtype=np.int64)
-            self._wal_rec["mv"] = np.column_stack(
-                [np.asarray(move_c, dtype=np.int64), arena.ids[mg],
-                 np.asarray(move_v, dtype=np.int64).reshape(-1, 2)]
-            ).ravel()
+        # 6'. simultaneous movement: merge hops + accepted runner hops ------
+        move_g, move_c, zero_cells = self._move_stage(plan, dec)
         if self._single:
-            chain0 = chains[0]
-            if len(move_g):
-                chain0.apply_moves_indexed(move_g, move_v)
-                # the dense tier defers its re-encode; settle it into
-                # the arena's code slice before any fleet-wide read
-                chain0.edge_codes()
-                zero_cells = np.flatnonzero(chain0._codes_cache == -1) \
-                    if chain0._invalid_edges else _EMPTY_CELLS
-            else:
-                zero_cells = _EMPTY_CELLS
-        else:
-            move_g = np.asarray(move_g, dtype=np.int64)
-            move_v = np.asarray(move_v, dtype=np.int64).reshape(-1, 2)
-            move_c = np.asarray(move_c, dtype=np.int64)
-            zero_cells = arena.apply_moves(move_g, move_v, move_c)
+            # this round's executed patterns pick the next round's merge
+            # and movement tier
+            self._prev_patterns = int(plan.exec_count[0]) \
+                if plan is not None else 0
 
         # 7-8. contraction + run/target removal, fleet-wide -----------------
         merges_by_chain: Dict[int, List[MergeRecord]] = {}
@@ -1405,21 +1345,7 @@ class FleetKernel:
                                  merges_by_chain, terminated)
 
         # 9. move surviving runs one robot along their direction ------------
-        # adaptive like the decision stage: on contraction-free rounds
-        # of a single-segment arena with few runs, the chain views are
-        # still fresh and a scalar sweep beats the array dispatch
-        moved = None
-        threshold = NUMPY_MIN_RUNS if self.numpy_min_runs is None \
-            else self.numpy_min_runs
-        if self._single and not self._check and not len(zero_cells) \
-                and len(registry._active) < threshold:
-            chain0 = chains[0]
-            crowded = registry.advance_active(chain0.ids_view(),
-                                              chain0.index_map())
-        else:
-            moved, crowded = registry.advance_fleet(
-                base, arena.length, arena.ids, arena.index,
-                collect_moved=self._check, scratch=arena.scratch)
+        moved, crowded = self._advance_stage(zero_cells)
         # contraction can push two same-direction runs onto one robot; a
         # robot cannot tell them apart, so the younger run dissolves.
         if crowded:
@@ -1454,6 +1380,146 @@ class FleetKernel:
         # 13. invariants ----------------------------------------------------
         if self._check:
             self._check_invariants(live_list, before, moved)
+
+    # ------------------------------------------------------------------
+    def _chain_tier(self) -> bool:
+        """Whether this round plans merges and scatters moves on the
+        per-chain tier: a single-segment arena whose previous round
+        executed fewer than :data:`ARRAY_MIN_PATTERNS` merge patterns.
+        Every other round runs the fleet array stages."""
+        return self._single and self._prev_patterns < ARRAY_MIN_PATTERNS
+
+    def _merge_stage(self, live: np.ndarray) -> Optional[FleetMergePlan]:
+        """Merge detection and planning (kernel steps 1-2), per tier.
+
+        The array tier is the fleet-wide RLE detection and planning
+        (the kernel engine's n >= 4 gate applies per chain).  A
+        single segment's quiet rounds route through the per-chain
+        detector and planner (shared with the vectorised engine): same
+        plan, a fraction of the dispatch on a handful of patterns.
+        """
+        arena = self.arena
+        k_max = self.params.effective_k_max
+        if self._chain_tier():
+            return self._merge_plan_single(k_max) \
+                if arena.length[0] >= 4 else None
+        eligible = np.zeros(len(arena.chains), dtype=bool)
+        eligible[live] = arena.length[live] >= 4
+        if not eligible.any():
+            return None
+        cand = _fleet_merge_candidates(arena, eligible, k_max)
+        return _fleet_plan_merges(arena, *cand) if cand is not None else None
+
+    def _start_stage(self, live: np.ndarray,
+                     part_flat: Optional[np.ndarray]
+                     ) -> Optional[FleetStarts]:
+        """Run-start candidates (kernel step 4) every L-th *local* round.
+
+        Mid-run admission staggers the phase per chain, so a fleet's
+        scan carries a chain eligibility mask whenever the fleet is out
+        of phase; a single segment is born at round 0, so its phase is
+        the global round's.
+        """
+        interval = self.params.start_interval
+        mask = None
+        if self._single:
+            if self.round_index % interval:
+                return None
+        else:
+            ph = (self.round_index - self.birth[live]) % interval == 0
+            if not ph.any():
+                return None
+            if not ph.all():
+                mask = np.zeros(len(self.arena.chains), dtype=bool)
+                mask[live[ph]] = True
+        starts = _fleet_run_starts(self.arena, mask)
+        if starts is not None and part_flat is not None:
+            # merge participants never start runs (Table 1.3); the
+            # candidate cells are snapshot cells, so the mask applies
+            # by direct global-cell lookup
+            keep = ~part_flat[starts[0]]
+            if not keep.all():
+                starts = tuple(s[keep] for s in starts)
+        return starts
+
+    def _move_stage(self, plan: Optional[FleetMergePlan],
+                    dec: FleetDecisions):
+        """Simultaneous movement (kernel step 6'), per tier.
+
+        The per-chain tier scatters through the chain's adaptive
+        incremental-code path (scalar below ~32 movers), which keeps
+        its Python-side caches coherent; the array tier is the
+        arena-wide scatter, after which a single segment's tuple and
+        code-list caches are stale and dropped.  Returns ``(move_g,
+        move_c, zero_cells)``: the movers' global cells and chains and
+        the cells of the edges that became zero.
+        """
+        arena = self.arena
+        pidx = plan.hop_gidx if plan is not None else _EMPTY_CELLS
+        didx = dec.move_gidx
+        if not len(pidx):
+            move_g, move_v = didx, dec.move_deltas
+            move_c = dec.move_chain
+        elif not len(didx):
+            move_g, move_v, move_c = pidx, plan.hop_vec, plan.hop_chain
+        else:
+            move_g = np.concatenate(
+                [pidx, np.asarray(didx, dtype=np.int64)])
+            move_v = np.concatenate(
+                [plan.hop_vec,
+                 np.asarray(dec.move_deltas, dtype=np.int64).reshape(-1, 2)])
+            move_c = np.concatenate(
+                [plan.hop_chain, np.asarray(dec.move_chain, dtype=np.int64)])
+        if self._wal_rec is not None and len(move_g):
+            # captured before the scatter: ids are only rewritten by
+            # the later contraction, and a single segment's chain
+            # indices are its global cells, so arena.ids[move_g] is
+            # the mover's robot id on both tiers
+            mg = np.asarray(move_g, dtype=np.int64)
+            self._wal_rec["mv"] = np.column_stack(
+                [np.asarray(move_c, dtype=np.int64), arena.ids[mg],
+                 np.asarray(move_v, dtype=np.int64).reshape(-1, 2)]
+            ).ravel()
+        if self._chain_tier():
+            if not len(move_g):
+                return move_g, move_c, _EMPTY_CELLS
+            chain0 = arena.chains[0]
+            chain0.apply_moves_indexed(move_g, move_v)
+            # the dense scatter defers its re-encode; settle it into the
+            # arena's code slice before any fleet-wide read
+            chain0.edge_codes()
+            zero_cells = np.flatnonzero(chain0._codes_cache == -1) \
+                if chain0._invalid_edges else _EMPTY_CELLS
+            return move_g, move_c, zero_cells
+        move_g = np.asarray(move_g, dtype=np.int64)
+        move_c = np.asarray(move_c, dtype=np.int64)
+        zero_cells = arena.apply_moves(
+            move_g, np.asarray(move_v, dtype=np.int64).reshape(-1, 2), move_c)
+        if self._single and len(move_g):
+            chain0 = arena.chains[0]
+            chain0._pos_cache = None
+            chain0._codes_list_cache = None
+        return move_g, move_c, zero_cells
+
+    def _advance_stage(self, zero_cells: np.ndarray):
+        """Move surviving runs one robot along their direction (step 9).
+
+        Adaptive like the decision stage: on contraction-free rounds of
+        a single-segment arena with few runs, the chain's id views are
+        still fresh and a scalar sweep beats the array dispatch.
+        Returns ``(moved, crowded)`` (``moved`` only under invariant
+        checking).
+        """
+        registry = self.registry
+        if self._single and not self._check and not len(zero_cells) \
+                and len(registry._active) < NUMPY_MIN_RUNS:
+            chain0 = self.arena.chains[0]
+            return None, registry.advance_active(chain0.ids_view(),
+                                                 chain0.index_map())
+        arena = self.arena
+        return registry.advance_fleet(
+            arena.base, arena.length, arena.ids, arena.index,
+            collect_moved=self._check, scratch=arena.scratch)
 
     # ------------------------------------------------------------------
     def _merge_plan_single(self, k_max: int) -> Optional[FleetMergePlan]:
@@ -1495,9 +1561,7 @@ class FleetKernel:
         """
         registry = self.registry
         n_runs = len(registry._active)
-        threshold = NUMPY_MIN_RUNS if self.numpy_min_runs is None \
-            else self.numpy_min_runs
-        if not (self._single and 0 < n_runs < threshold):
+        if not (self._single and 0 < n_runs < NUMPY_MIN_RUNS):
             return decide_and_apply_fleet(self.arena, registry, self.params,
                                           part_flat, round_index)
         # chain views are coherent: _step_round synced the segment

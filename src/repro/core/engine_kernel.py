@@ -18,11 +18,15 @@ buys concretely:
   op (c) hops, run-start corner refinement, the contraction survivor
   rule — replaces the per-window / per-event Python fallbacks the
   single-chain loop still contained;
-* the decision stage stays adaptive: a single-segment arena below
+* the stages stay adaptive on per-round activity: a round after one
+  that executed fewer than
+  :data:`~repro.core.engine_fleet.ARRAY_MIN_PATTERNS` merge patterns
+  plans and scatters on the per-chain tier, and below
   :data:`~repro.core.decisions_vectorized.NUMPY_MIN_RUNS` active runs
-  drops to the tight scalar fold
+  decisions drop to the tight scalar fold
   (:func:`~repro.core.decisions_vectorized.decide_and_apply_scalar`),
-  so small chains keep their low per-round latency.
+  so small chains keep their low per-round latency while merge-dense
+  rounds run on the fleet's array stages.
 
 The rounds produced are bit-identical to the reference engine —
 property-tested trace-for-trace and report-for-report in
@@ -53,14 +57,11 @@ class KernelEngine(Engine):
 
     Parameters match :class:`~repro.core.engine.Engine`; the round
     pipeline is the fleet kernel's, over a single-segment arena.
-    ``numpy_min_runs`` overrides the decision stage's adaptive
-    scalar/NumPy threshold (tests pin it to force one path).
     """
 
     def __init__(self, chain: ClosedChain, params: Parameters,
                  check_invariants: bool = True,
-                 trace: Optional[Trace] = None,
-                 numpy_min_runs: Optional[int] = None):
+                 trace: Optional[Trace] = None):
         super().__init__(chain, params,
                          merge_detector=find_merge_patterns_np,
                          start_scanner=scan_run_starts,
@@ -74,22 +75,10 @@ class KernelEngine(Engine):
             return
         self._fleet = FleetKernel(
             [chain], params=params, check_invariants=check_invariants,
-            keep_reports=True, validate_initial=False,
-            numpy_min_runs=numpy_min_runs)
+            keep_reports=True, validate_initial=False)
         # engine semantics: terminated-run views stay observable
         self._fleet.registry.keep_stopped = True
         self.registry = self._fleet.registry
-
-    # ------------------------------------------------------------------
-    @property
-    def numpy_min_runs(self) -> Optional[int]:
-        """Scalar/NumPy crossover override of the decision stage."""
-        return self._fleet.numpy_min_runs if self._fleet is not None else None
-
-    @numpy_min_runs.setter
-    def numpy_min_runs(self, value: Optional[int]) -> None:
-        if self._fleet is not None:
-            self._fleet.numpy_min_runs = value
 
     # ------------------------------------------------------------------
     def step(self) -> RoundReport:

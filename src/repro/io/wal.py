@@ -266,7 +266,6 @@ def save_fleet_snapshot(path: str, kernel, stream: Dict[str, Any]) -> str:
         "check": kernel._check,
         "keep": kernel._keep,
         "validate": kernel._validate,
-        "numpy_min_runs": kernel.numpy_min_runs,
         "n0": list(kernel._n0),
         "ext_of": list(kernel._ext_of),
         "stream_stats": dict(kernel.stream_stats),
@@ -319,8 +318,7 @@ def load_fleet_snapshot(path: str) -> Tuple[Any, Dict[str, Any]]:
     kernel = FleetKernel([], params=params_from_doc(meta["params"]),
                          check_invariants=bool(meta["check"]),
                          keep_reports=bool(meta["keep"]),
-                         validate_initial=bool(meta["validate"]),
-                         numpy_min_runs=meta["numpy_min_runs"])
+                         validate_initial=bool(meta["validate"]))
     arena = ChainArena.restore_state(arena_arrays, meta["arena"])
     count = len(arena.chains)
     kernel.arena = arena

@@ -1,5 +1,10 @@
 """Analysis tooling: fits, summaries, good pairs, progress accounting."""
 
+import math
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.chain import ClosedChain
@@ -32,6 +37,34 @@ class TestLinearFit:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             fit_rounds([1], [2])
+
+    def test_noisy_fit(self):
+        # reference values from scipy.stats.linregress on the same data
+        fit = fit_rounds([16, 32, 64, 128, 256, 512],
+                         [30, 61, 118, 251, 490, 1003])
+        assert fit.slope == pytest.approx(1.9599769012082444, rel=1e-12)
+        assert fit.intercept == pytest.approx(-3.776119402985046, rel=1e-12)
+        assert fit.r_squared == pytest.approx(0.9998366747131, rel=1e-12)
+        assert fit.stderr == pytest.approx(0.012525155918808435, rel=1e-12)
+
+    def test_identical_ns_rejected(self):
+        with pytest.raises(ValueError):
+            fit_rounds([64, 64, 64], [120, 130, 125])
+
+    def test_constant_rounds(self):
+        fit = fit_rounds([16, 32, 64], [40, 40, 40])
+        assert fit.slope == 0.0 and fit.intercept == 40.0
+        assert math.isnan(fit.r_squared) and math.isnan(fit.stderr)
+
+    def test_cli_imports_without_scipy(self):
+        # scipy is not a declared dependency: the CLI (and through it
+        # the analysis package) must import without loading it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            sys.modules["repro"].__file__)))
+        code = "import sys, repro.cli; sys.exit('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=60).returncode == 0
 
     def test_real_needle_scaling_is_linear(self):
         ns, rounds = [], []

@@ -52,6 +52,30 @@ class TestGather:
         assert main(["gather", "--family", "octagon", "--n", "48",
                      "--engine", "vectorized"]) == 0
 
+    def test_default_engine_is_kernel(self, monkeypatch, capsys):
+        import repro.cli
+        engines = []
+
+        class Recording(repro.cli.Simulator):
+            def __init__(self, *args, **kwargs):
+                engines.append(kwargs.get("engine"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(repro.cli, "Simulator", Recording)
+        assert main(["gather", "--family", "square", "--n", "32"]) == 0
+        assert engines == ["kernel"]
+
+    @pytest.mark.parametrize("family,n", [("square", 32), ("octagon", 48),
+                                          ("needle", 24)])
+    def test_default_output_matches_reference(self, family, n, capsys):
+        # summary line, --json document and --render strip
+        argv = ["gather", "--family", family, "--n", str(n), "--json",
+                "--render"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--engine", "reference"]) == 0
+        assert capsys.readouterr().out == default
+
 
 class TestRender:
     def test_ascii(self, capsys):

@@ -12,9 +12,10 @@ merge-dense crenellations/combs, and mid-gathering snapshots (states
 captured partway through a reference gathering, restarted under every
 engine) — both as fresh position lists and as the reference's own
 chain objects, whose merged robots leave gaps in the id space, on
-every engine and on the fleet's batch and stream paths.  Both kernel
-decision paths (adaptive scalar and forced NumPy) are exercised, as
-are the hypothesis-generated random and merge-dense chains.  The
+every engine and on the fleet's batch and stream paths.  Every
+single-segment tier switch of the kernel (merge plan and movement
+scatter, decisions) is pinned both ways, and the hypothesis-generated
+random and merge-dense chains run on every engine.  The
 detector-level equivalence (reference scan vs NumPy scan) rides
 along, since the engines' conformance rests on it.
 """
@@ -24,6 +25,8 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from repro.core import engine_fleet
+from repro.core.chain import ClosedChain
 from repro.core.engine_fleet import FleetKernel, gather_fleet
 from repro.core.engine_vectorized import find_merge_patterns_np
 from repro.core.patterns import find_merge_patterns
@@ -91,17 +94,22 @@ def _report_key(report):
             report.merge_conflicts, report.runner_hop_conflicts)
 
 
-def assert_conformance(pts, engine, max_rounds=4000, numpy_min_runs=None,
+def assert_conformance(pts, engine, max_rounds=4000,
                        check_invariants=True, validate_initial=True):
-    """Run one engine in lockstep with the reference; compare every round."""
-    a = Simulator(list(pts), engine="reference",
+    """Run one engine in lockstep with the reference; compare every round.
+
+    ``pts`` is a position list or a :class:`ClosedChain`, of which each
+    engine gathers its own copy (ids and id space intact).
+    """
+    def fresh():
+        return pts.copy() if isinstance(pts, ClosedChain) else list(pts)
+
+    a = Simulator(fresh(), engine="reference",
                   check_invariants=check_invariants,
                   validate_initial=validate_initial)
-    b = Simulator(list(pts), engine=engine,
+    b = Simulator(fresh(), engine=engine,
                   check_invariants=check_invariants,
                   validate_initial=validate_initial)
-    if numpy_min_runs is not None:
-        b.engine.numpy_min_runs = numpy_min_runs
     for i in range(max_rounds):
         if a.is_gathered() and b.is_gathered():
             break
@@ -213,18 +221,99 @@ class TestMergedChains:
                 _reference_outcome(chain)
 
 
+#: Each single-segment tier switch of the kernel forced one way, as
+#: (``engine_fleet`` module constant, value).  ``ARRAY_MIN_PATTERNS``
+#: picks the merge plan and movement scatter tier, ``NUMPY_MIN_RUNS``
+#: the decision (and run advance) tier.
+FORCED = {
+    "array": ("ARRAY_MIN_PATTERNS", 0),        # fleet array stages
+    "chain": ("ARRAY_MIN_PATTERNS", 1 << 30),  # per-chain tier
+    "numpy": ("NUMPY_MIN_RUNS", 0),
+    "scalar": ("NUMPY_MIN_RUNS", 1 << 30),
+}
+
+#: Scenario families every forced tier runs on.
+PINNED = ["ring_small", "ring_large", "stairway", "blob", "perturbed",
+          "merge_dense", "merge_dense_tall"]
+
+
+def assert_forced_conformance(tier, pts, **kwargs):
+    """Lockstep conformance of the kernel with one tier switch forced.
+
+    A context-managed monkeypatch rather than the fixture, because
+    hypothesis rejects function-scoped fixtures in ``@given`` bodies.
+    """
+    name, value = FORCED[tier]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_fleet, name, value)
+        return assert_conformance(pts, "kernel", **kwargs)
+
+
 class TestKernelDecisionPaths:
-    """The kernel's adaptive scalar/NumPy crossover, pinned both ways."""
+    """The kernel's single-segment tier switches, each pinned both ways."""
 
-    @pytest.mark.parametrize("family", ["ring_small", "merge_dense",
-                                        "stairway"])
+    @pytest.mark.parametrize("family", PINNED)
+    def test_forced_array(self, family):
+        assert_forced_conformance("array", SCENARIOS[family]())
+
+    @pytest.mark.parametrize("family", PINNED)
+    def test_forced_chain(self, family):
+        assert_forced_conformance("chain", SCENARIOS[family]())
+
+    @pytest.mark.parametrize("family", PINNED)
     def test_forced_numpy(self, family):
-        assert_conformance(SCENARIOS[family](), "kernel", numpy_min_runs=0)
+        assert_forced_conformance("numpy", SCENARIOS[family]())
 
-    @pytest.mark.parametrize("family", ["ring_small", "merge_dense"])
+    @pytest.mark.parametrize("family", PINNED)
     def test_forced_scalar(self, family):
-        assert_conformance(SCENARIOS[family](), "kernel",
-                           numpy_min_runs=1 << 30)
+        assert_forced_conformance("scalar", SCENARIOS[family]())
+
+    @pytest.mark.parametrize("tier", sorted(FORCED))
+    @pytest.mark.parametrize("family,rounds", MERGED, ids=lambda v: str(v))
+    def test_merged_chains(self, family, rounds, tier):
+        assert_forced_conformance(tier, _merged_chain(family, rounds),
+                                  validate_initial=False)
+
+    @pytest.mark.parametrize("tier", sorted(FORCED))
+    @settings(max_examples=10)
+    @given(pts=merge_dense_chain_positions())
+    def test_merge_dense_chains(self, tier, pts):
+        assert_forced_conformance(tier, pts)
+
+    def test_tier_switches_on_activity(self):
+        # crenellation(24, 1, 6) (n=156) starts quiet, runs merge-dense
+        # rounds, then quiets down: at the default crossover the merge
+        # and movement stages must enter the array tier and leave it
+        # again, in lockstep with the reference throughout
+        tiers = []
+        scatters = []
+        fleet_scan = engine_fleet._fleet_merge_candidates
+        chain_plan = FleetKernel._merge_plan_single
+        apply_moves = engine_fleet.ChainArena.apply_moves
+
+        def array_scan(*args):
+            tiers.append("array")
+            return fleet_scan(*args)
+
+        def chain_scan(self, k_max):
+            tiers.append("chain")
+            return chain_plan(self, k_max)
+
+        def arena_scatter(self, *args):
+            scatters.append(len(tiers))
+            return apply_moves(self, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine_fleet, "_fleet_merge_candidates", array_scan)
+            mp.setattr(FleetKernel, "_merge_plan_single", chain_scan)
+            mp.setattr(engine_fleet.ChainArena, "apply_moves",
+                       arena_scatter)
+            assert_conformance(crenellation(24, 1, 6), "kernel")
+        first = tiers.index("array")
+        assert "chain" in tiers[first:]
+        # the arena scatter runs exactly on the array-tier rounds
+        assert [tiers[k - 1] for k in scatters] == \
+            ["array"] * tiers.count("array")
 
 
 class TestPropertyConformance:
@@ -239,12 +328,6 @@ class TestPropertyConformance:
     @given(pts=merge_dense_chain_positions())
     def test_merge_dense_chains(self, engine, pts):
         assert_conformance(pts, engine, check_invariants=False)
-
-    @settings(max_examples=10)
-    @given(pts=merge_dense_chain_positions())
-    def test_merge_dense_forced_numpy(self, pts):
-        assert_conformance(pts, "kernel", check_invariants=False,
-                           numpy_min_runs=0)
 
 
 class TestDetectorConformance:

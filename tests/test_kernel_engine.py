@@ -51,14 +51,6 @@ class TestFleetOfOneSubstrate:
         assert len(engine._fleet.arena.chains) == 1
         assert engine.registry is engine._fleet.registry
 
-    def test_numpy_min_runs_forwards_to_fleet(self):
-        from repro.core.chain import ClosedChain
-        engine = KernelEngine(ClosedChain(square_ring(10)),
-                              DEFAULT_PARAMETERS, numpy_min_runs=7)
-        assert engine.numpy_min_runs == 7
-        engine.numpy_min_runs = 0
-        assert engine._fleet.numpy_min_runs == 0
-
     def test_ssync_hook_subclass_falls_back(self):
         """A subclass overriding _select_moves routes through the
         reference pipeline and still sees every move offered."""

@@ -11,6 +11,7 @@ variant lives in ``scripts/crash_harness.py`` and CI).
 import json
 import random
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -20,6 +21,9 @@ from repro.core.faults import FaultPlan
 from repro.chains import random_chain
 from repro.errors import WalError
 from repro.io import WalReader, WalWriter
+
+#: Snapshot meta key of the retired decision-tier knob (older WALs).
+LEGACY_KEY = "numpy_min_runs"
 
 
 def _stream_pts(n=60, seed=3):
@@ -86,6 +90,36 @@ class TestCrashResume:
             ext, res = next(gen)
             results[ext] = res
         gen.close()                                   # "SIGKILL"
+
+        _, resumed = FleetKernel.restore_stream(str(tmp_path), iter(pts))
+        _collect_dedup(results, resumed)
+        _assert_same(clean, results)
+
+    def test_legacy_snapshot_meta_key_restores(self, tmp_path):
+        # snapshots written while the kernel still had a decision-tier
+        # knob carry its meta key; resume ignores the key
+        pts = _stream_pts(40)
+        clean = _clean_run(pts)
+        kernel = FleetKernel([], keep_reports=True)
+        gen = kernel.run_stream(iter(pts), slots=8,
+                                wal=WalWriter(str(tmp_path)),
+                                snapshot_every=5)
+        results = {}
+        for _ in range(11):
+            ext, res = next(gen)
+            results[ext] = res
+        gen.close()
+
+        reader = WalReader(str(tmp_path))
+        path = reader.snapshot_path(reader.last_snapshot())
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        meta = json.loads(str(arrays["meta"]))
+        assert LEGACY_KEY not in meta
+        meta[LEGACY_KEY] = None
+        arrays["meta"] = np.array(json.dumps(meta))
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
 
         _, resumed = FleetKernel.restore_stream(str(tmp_path), iter(pts))
         _collect_dedup(results, resumed)
