@@ -25,7 +25,7 @@ def main() -> None:
         rows.append({
             "n": len(pts),
             "diameter": bounding_box(pts).diameter,
-            "local (paper)": gather(list(pts), engine="vectorized").rounds,
+            "local (paper)": gather(list(pts), engine="kernel").rounds,
             "global vision": gather_global_vision(list(pts)).rounds,
             "compass": gather_compass(list(pts)).rounds,
         })

@@ -20,7 +20,7 @@ def main() -> None:
     max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 10
     print("exhaustive sweep (one representative per symmetry class):")
     for n in range(4, max_n + 1, 2):
-        report = verify_all(n, engine="vectorized")
+        report = verify_all(n, engine="kernel")
         status = "ALL GATHER" if report.complete else f"{len(report.failures)} FAILURES"
         print(f"  n={n:2d}: {report.total:5d} configurations -> {status} "
               f"(max {report.max_rounds} rounds)")
@@ -36,7 +36,7 @@ def main() -> None:
     ]:
         pts = []
         for s in sizes:
-            res = gather(builder(s), engine="vectorized")
+            res = gather(builder(s), engine="kernel")
             pts.append((res.initial_n, res.rounds))
         series.append(Series(label, pts))
     out = sys.argv[2] if len(sys.argv) > 2 else "theorem1_scaling.svg"

@@ -15,7 +15,7 @@ from repro.analysis import fit_rounds, format_table
 def sweep(name, builder, sizes):
     rows = []
     for s in sizes:
-        result = gather(builder(s), engine="vectorized")
+        result = gather(builder(s), engine="kernel")
         rows.append({"family": name, "param": s, "n": result.initial_n,
                      "rounds": result.rounds,
                      "rounds_per_n": result.rounds_per_robot})

@@ -3,7 +3,7 @@
 Usage examples::
 
     python -m repro gather --family square --n 80 --render
-    python -m repro gather --chain my_chain.json --engine vectorized
+    python -m repro gather --chain my_chain.json --engine reference
     python -m repro batch --family square --sizes 16 32 64 --workers 4
     python -m repro batch --family random --sizes 96 --repeat 20 --json
     python -m repro render --family octagon --n 64 --svg out.svg
@@ -155,11 +155,8 @@ def cmd_batch_stream(args) -> int:
     from repro.core.batch import BatchSimulator
     from repro.core.results import ChainOutcome
     if args.engine != "kernel":
-        raise SystemExit("--stream runs on the fleet backend; it requires "
+        raise SystemExit("--stream runs on the fleet kernel; it requires "
                          "--engine kernel")
-    if args.backend == "process":
-        raise SystemExit("--stream runs on the fleet backend; "
-                         "--backend process has no shared arena to bound")
     if args.resume and not args.wal:
         raise SystemExit("--resume continues a write-ahead-logged run; "
                          "it needs --wal DIR")
@@ -192,7 +189,7 @@ def cmd_batch_stream(args) -> int:
         out_fh, seen = _open_stream_out(args.out, args.resume)
     sim = BatchSimulator([], params=_params(args), engine="kernel",
                          check_invariants=args.check, workers=args.workers,
-                         keep_reports=False, backend="fleet")
+                         keep_reports=False)
     progress = _batch_progress() if args.progress else None
     chains = _iter_jsonl_chains(args.stream, skip_bad=args.skip_bad_lines,
                                 on_bad=on_bad)
@@ -269,6 +266,10 @@ def cmd_batch(args) -> int:
         raise SystemExit("--wal/--resume/--out/--faults/--dead-letter/"
                          "--skip-bad-lines apply to streaming batches; "
                          "add --stream JSONL")
+    if args.engine != "kernel" and args.workers and args.workers > 1:
+        raise SystemExit("--workers runs kernel batches on the supervised "
+                         "pool; --engine reference gathers in-process, "
+                         "drop --workers")
     family = FAMILIES.get(args.family)
     if family is None:
         raise SystemExit(f"unknown family {args.family!r}; "
@@ -286,7 +287,7 @@ def cmd_batch(args) -> int:
             labels.append(f"{args.family}-{n}")
     sim = BatchSimulator(chains, params=_params(args), engine=args.engine,
                          check_invariants=args.check, workers=args.workers,
-                         keep_reports=False, backend=args.backend)
+                         keep_reports=False)
     progress = _batch_progress() if args.progress else None
     batch = sim.run(max_rounds=args.max_rounds, progress=progress)
     print(batch.summary())
@@ -431,16 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0,
                    help="seed for stochastic families")
     b.add_argument("--engine", choices=ENGINES, default="kernel")
-    b.add_argument("--backend", choices=("auto", "fleet", "process"),
-                   default="auto",
-                   help="fleet: shared-array fleet kernel (kernel engine; "
-                        "with --workers, batches and --stream run on the "
-                        "supervised pool); process: one simulation per "
-                        "chain; auto: fleet whenever the engine is kernel")
     b.add_argument("--workers", type=int, default=None,
-                   help="process-pool width (default: in-process; the fleet "
-                        "backend streams the batch through the supervised "
-                        "pool)")
+                   help="process-pool width (default: in-process; kernel "
+                        "batches and --stream run on the supervised pool)")
     b.add_argument("--stream", metavar="JSONL",
                    help="stream chains from a JSONL file of position lists "
                         "('-' reads stdin) through a bounded arena instead "

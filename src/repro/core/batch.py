@@ -7,18 +7,23 @@ takes a list of initial chains, runs each through the engine of choice
 and returns a :class:`BatchResult` keeping per-chain
 :class:`~repro.core.simulator.GatheringResult` objects in input order.
 
-Two backends execute the fleet (DESIGN.md §2.10):
+Each engine has one batch path (DESIGN.md §2.10):
 
-* ``"fleet"`` — the shared-array fleet kernel
+* ``engine="kernel"`` (the default) — the shared-array fleet kernel
   (:class:`repro.core.engine_fleet.FleetKernel`) advances every chain
   round-for-round in one process.  Per-chain results are bit-identical
   to ``engine="kernel"`` single runs; throughput on fleets of small
   chains is several times the per-chain path because per-round
-  interpreter costs amortise across the whole batch.
-* ``"process"`` — one simulation per chain through
-  :class:`~repro.core.simulator.Simulator` (any engine).
+  interpreter costs amortise across the whole batch.  With
+  ``workers >= 2`` a batch is a stream: :meth:`BatchSimulator.run` is
+  :meth:`~BatchSimulator.run_stream` over the batch with one slot per
+  chain, collected in input order, so batches get the supervised
+  pool's crash recovery.
+* ``engine="reference"`` — the chains gather one after another,
+  in-process, through :class:`~repro.core.simulator.Simulator`; the
+  executable specification takes no ``workers``.
 
-The streaming tier (DESIGN.md §2.11) lifts the fleet backend from
+The streaming tier (DESIGN.md §2.11) lifts the fleet kernel from
 one-shot to pipeline: :meth:`BatchSimulator.run_stream` /
 :func:`gather_stream` consume an *iterator* of chains, keep the arena
 at a bounded slot occupancy — retired slots are reclaimed for the
@@ -32,20 +37,6 @@ respawned and their chunks re-dispatched; a live admission source
 tier (:mod:`repro.core.shards`, §2.16), K long-lived kernel workers
 fed over pipes.  Per-chain results are bit-identical to
 :func:`gather_batch` on every path.
-
-``backend="auto"`` (the default) picks ``"fleet"`` whenever the
-engine is ``"kernel"``.  A multi-process kernel batch is a stream:
-with ``workers >= 2`` on the fleet backend, :meth:`BatchSimulator.run`
-is :meth:`~BatchSimulator.run_stream` over the batch with one slot per
-chain, collected in input order, so batches get the supervised pool's
-crash recovery.  The process backend
-distributes one-chain jobs over a plain process pool (simulations are
-pure CPU-bound Python, so processes — not threads — are the scaling
-unit).  Jobs are self-contained ``(positions, params, …)`` tuples and
-results are plain dataclasses, so nothing but the standard pickling
-machinery is involved; ``keep_reports=False`` strips the per-round
-reports before results cross the process boundary, which bounds IPC
-for large sweeps that only need the aggregate outcome.
 
 See DESIGN.md §3 for how this layer relates to the single-chain
 :class:`~repro.core.simulator.Simulator`.
@@ -62,40 +53,6 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 from repro.core.chain import ClosedChain
 from repro.core.config import DEFAULT_PARAMETERS, Parameters
 from repro.core.simulator import ENGINES, GatheringResult, Simulator
-
-#: Fleet execution backends accepted by :class:`BatchSimulator`.
-BACKENDS = ("auto", "fleet", "process")
-
-#: One batch job: everything a worker needs to gather one chain.
-_Job = Tuple[List[tuple], Parameters, str, bool, Optional[int], bool, bool]
-
-
-def _gather_job(job: _Job) -> GatheringResult:
-    """Run one gathering simulation (top-level: must pickle for pools)."""
-    (positions, params, engine, check_invariants, max_rounds,
-     validate_initial, keep_reports) = job
-    sim = Simulator(positions, params=params, engine=engine,
-                    check_invariants=check_invariants,
-                    validate_initial=validate_initial)
-    result = sim.run(max_rounds=max_rounds)
-    if not keep_reports:
-        result.reports = []
-    return result
-
-
-def _pool_result(fut, index: int) -> GatheringResult:
-    """Unwrap a one-chain pool future, lifting worker deaths and broken
-    result pipes into the :class:`~repro.errors.WorkerCrashError`
-    taxonomy so callers can catch one base class (``ReproError``)."""
-    from concurrent.futures import BrokenExecutor
-    try:
-        return fut.result()
-    except (BrokenExecutor, EOFError, OSError) as exc:
-        from repro.errors import WorkerCrashError
-        raise WorkerCrashError(
-            f"pool worker died gathering chain {index}: "
-            f"{type(exc).__name__}: {exc}",
-            worker=-1, indices=[index]) from exc
 
 
 @dataclass
@@ -162,19 +119,15 @@ class BatchSimulator:
     engine:
         ``"kernel"`` (default here — batches exist for throughput, and
         the kernel engine is the fastest behaviourally-identical
-        variant), ``"vectorized"`` or ``"reference"``.
-    backend:
-        ``"fleet"`` (shared-array fleet kernel, kernel engine only),
-        ``"process"`` (one simulation per chain), or ``"auto"``
-        (default): fleet whenever the engine is ``"kernel"``.
+        variant) or ``"reference"`` (one chain after another,
+        in-process).
     check_invariants:
         Per-round invariant checking for every simulation (slow).
     workers:
         Process count.  ``None`` or ``1`` runs in-process; ``>= 2``
-        distributes over worker processes (the fleet backend streams
-        a batch or any finite iterable through the supervised pool and
-        an admission source through the shard tier; the process
-        backend runs one chain per ``concurrent.futures`` job).
+        streams a kernel batch or any finite iterable through the
+        supervised pool and an admission source through the shard
+        tier.  A reference batch takes no workers (``ValueError``).
     keep_reports:
         Keep per-round :class:`RoundReport` lists on each result.  Turn
         off for large sweeps that only need aggregate outcomes (and to
@@ -182,6 +135,10 @@ class BatchSimulator:
     validate_initial:
         Enforce the paper's initial-configuration assumptions on every
         chain before running.
+    backend:
+        Accepted for compatibility: ``"auto"`` (default) or ``"fleet"``.
+        It selects nothing — the engine picks the batch path — and any
+        other value raises ``ValueError``.
     """
 
     def __init__(self, chains: Sequence[Union[ClosedChain, Sequence[tuple]]],
@@ -194,21 +151,20 @@ class BatchSimulator:
                  backend: str = "auto"):
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-        if backend not in BACKENDS:
+        if backend not in ("auto", "fleet"):
             raise ValueError(
-                f"unknown backend {backend!r}; choose from {BACKENDS}")
-        if backend == "fleet" and engine != "kernel":
-            raise ValueError(
-                f"backend={backend!r} executes the kernel round pipeline; "
-                f"engine {engine!r} needs backend='process'")
+                f"unknown backend {backend!r}; the engine picks the batch "
+                "path, so only 'auto' and 'fleet' are accepted")
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
+        if engine != "kernel" and workers is not None and workers > 1:
+            raise ValueError(
+                f"engine {engine!r} gathers in-process; workers run "
+                "kernel batches on the supervised pool")
         self.positions: List[List[tuple]] = [self._as_positions(c)
                                              for c in chains]
         self.params = params
         self.engine = engine
-        self.backend = backend if backend != "auto" else (
-            "fleet" if engine == "kernel" else "process")
         self.check_invariants = check_invariants
         self.workers = int(workers) if workers else 1
         self.keep_reports = keep_reports
@@ -239,11 +195,6 @@ class BatchSimulator:
         return [(int(x), int(y)) for x, y in c]
 
     # ------------------------------------------------------------------
-    def _jobs(self, max_rounds: Optional[int]) -> List[_Job]:
-        return [(pts, self.params, self.engine, self.check_invariants,
-                 max_rounds, self.validate_initial, self.keep_reports)
-                for pts in self.positions]
-
     def run(self, max_rounds: Optional[int] = None,
             progress: Optional[Callable[[int, int], None]] = None
             ) -> BatchResult:
@@ -251,14 +202,14 @@ class BatchSimulator:
 
         ``progress`` is called as ``progress(completed, total)`` as
         chains finish (per retirement batch on the in-process fleet
-        backend, per completed chain otherwise).
+        kernel, per completed chain otherwise).
         """
         t0 = time.perf_counter()
         total = len(self.positions)
         workers = min(self.workers, total) if total else 1
-        if self.backend == "process":
-            results = self._run_process(max_rounds, workers, progress, total)
-        elif self.backend == "fleet" and workers <= 1:
+        if self.engine != "kernel":
+            results = self._run_reference(max_rounds, progress, total)
+        elif workers <= 1:
             from repro.core.engine_fleet import FleetKernel
             fleet = FleetKernel(self.positions, params=self.params,
                                 check_invariants=self.check_invariants,
@@ -310,8 +261,8 @@ class BatchSimulator:
         :attr:`last_stream_stats` holds the occupancy telemetry (peak
         live chains / cells, admission and compaction counts).
 
-        Streaming executes on the fleet backend only (the process
-        backend has no shared arena to bound).
+        Streaming executes on the fleet kernel only (the reference
+        engine has no shared arena to bound).
 
         Durability (§2.12): ``wal_dir`` write-ahead-logs the stream
         (one snapshot every ``snapshot_every`` rounds) so a killed run
@@ -340,11 +291,10 @@ class BatchSimulator:
         fault *crashes* always yield ``ChainOutcome`` records — they
         are planned degradations, not errors.
         """
-        if self.backend != "fleet":
+        if self.engine != "kernel":
             raise ValueError(
-                "run_stream() executes on the fleet backend "
-                f"(engine='kernel'); this simulator resolved to "
-                f"backend={self.backend!r}")
+                "run_stream() executes on the fleet kernel "
+                f"(engine='kernel'), not engine={self.engine!r}")
         if slots < 1:
             raise ValueError("slots must be >= 1")
         if resume and wal_dir is None:
@@ -506,38 +456,19 @@ class BatchSimulator:
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-    def _run_process(self, max_rounds: Optional[int], workers: int,
-                     progress: Optional[Callable[[int, int], None]],
-                     total: int) -> List[GatheringResult]:
-        """Process backend: one simulation per chain, any engine."""
-        jobs = self._jobs(max_rounds)
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor, as_completed
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                if progress is None:
-                    chunk = max(1, len(jobs) // (4 * workers))
-                    from concurrent.futures import BrokenExecutor
-                    try:
-                        return list(pool.map(_gather_job, jobs,
-                                             chunksize=chunk))
-                    except (BrokenExecutor, EOFError, OSError) as exc:
-                        from repro.errors import WorkerCrashError
-                        raise WorkerCrashError(
-                            f"pool worker died mid-batch: "
-                            f"{type(exc).__name__}: {exc}") from exc
-                results: List[Optional[GatheringResult]] = [None] * total
-                futures = {pool.submit(_gather_job, job): k
-                           for k, job in enumerate(jobs)}
-                done = 0
-                for fut in as_completed(futures):
-                    k = futures[fut]
-                    results[k] = _pool_result(fut, k)
-                    done += 1
-                    progress(done, total)
-                return results  # type: ignore[return-value]
+    def _run_reference(self, max_rounds: Optional[int],
+                       progress: Optional[Callable[[int, int], None]],
+                       total: int) -> List[GatheringResult]:
+        """Reference batch: one chain after another, in-process."""
         results = []
-        for k, job in enumerate(jobs):
-            results.append(_gather_job(job))
+        for k, pts in enumerate(self.positions):
+            result = Simulator(pts, params=self.params, engine=self.engine,
+                               check_invariants=self.check_invariants,
+                               validate_initial=self.validate_initial
+                               ).run(max_rounds=max_rounds)
+            if not self.keep_reports:
+                result.reports = []
+            results.append(result)
             if progress is not None:
                 progress(k + 1, total)
         return results
@@ -567,8 +498,8 @@ def gather_stream(chains: Iterable,
     consumed lazily, at most ``slots`` chains are resident in total
     (split ``slots // workers`` per worker kernel under a pool), and
     ``(index, result)`` pairs yield as chains finish.
-    Kernel engine / fleet backend only (that is where the shared arena
-    lives); per-chain results are bit-identical to
+    Kernel engine only (that is where the shared arena lives);
+    per-chain results are bit-identical to
     :func:`gather_batch` on the same inputs.  ``wal_dir`` /
     ``snapshot_every`` / ``faults`` / ``resume`` pass through to
     :meth:`BatchSimulator.run_stream` (durability tier, §2.12), which
@@ -593,12 +524,10 @@ def gather_batch(chains: Sequence[Union[ClosedChain, Sequence[tuple]]],
                  keep_reports: bool = True,
                  max_rounds: Optional[int] = None,
                  validate_initial: bool = True,
-                 backend: str = "auto",
                  progress=None) -> BatchResult:
     """Gather a fleet of chains (one-call convenience API)."""
     sim = BatchSimulator(chains, params=params, engine=engine,
                          check_invariants=check_invariants,
                          workers=workers, keep_reports=keep_reports,
-                         validate_initial=validate_initial,
-                         backend=backend)
+                         validate_initial=validate_initial)
     return sim.run(max_rounds=max_rounds, progress=progress)

@@ -15,8 +15,8 @@ by a dirty flag on mutation:
   (:meth:`position`, :class:`~repro.core.view.ChainWindow`), so callers
   keep the original tuple semantics;
 * the edge-code array (0=E, 1=N, 2=W, 3=S, -1=zero edge, -2=broken)
-  consumed by the vectorised merge detector and run-start scanner
-  (:mod:`repro.core.engine_vectorized`).
+  consumed by the edge-code merge detector
+  (:func:`repro.core.patterns.find_merge_patterns_np`).
 
 Both caches are rebuilt at most once per round, which keeps the scalar
 paths as fast as the original list-backed chain while giving the
@@ -38,7 +38,7 @@ from repro.grid.lattice import (
     sub,
 )
 
-#: Edge-code -> unit-vector lookup shared by the vectorised scanners.
+#: Edge-code -> unit-vector lookup shared by the edge-code scanners.
 CODE_TO_DIR: Tuple[Vec, ...] = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 

@@ -2,14 +2,15 @@
 
 Executes the round pipeline of DESIGN.md §2.8: one snapshot, all
 decisions from it, simultaneous movement, merging, run maintenance.
-The merge detector and the run-start scanner are pluggable so the
-vectorised engine (:mod:`repro.core.engine_vectorized`) can reuse the
-entire pipeline and differ only in the hot inner loops.
+Every robot decides through its own :class:`ChainWindow`, exactly as
+the paper's local rule reads; the kernel engine
+(:mod:`repro.core.engine_kernel`) is the array rendering of this
+pipeline and must match it round for round.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.grid.lattice import Vec
 from repro.core.algorithm import RunDecision, decide_run
@@ -17,7 +18,7 @@ from repro.core.chain import ClosedChain
 from repro.core.config import Parameters
 from repro.core.events import RoundReport, RunSnapshot, Snapshot, Trace
 from repro.core.merges import MergePlan, plan_merges
-from repro.core.patterns import MergePattern, RunStart, find_merge_patterns, run_start_decisions
+from repro.core.patterns import RunStart, find_merge_patterns, run_start_decisions
 from repro.core.runs import RunMode, RunRegistry, RunState, StopReason
 from repro.core.view import ChainWindow
 from repro.core import invariants
@@ -25,15 +26,6 @@ from repro.core import invariants
 #: Shared empty plan for merge-free rounds (the common case).  Never
 #: mutated: the engine only reads ``participants``/``hops``/``patterns``.
 _EMPTY_MERGE_PLAN = MergePlan()
-
-#: Signature of a merge-pattern detector: positions -> patterns.  A
-#: detector with a truthy ``wants_edge_codes`` attribute additionally
-#: receives the chain's cached edge codes as a ``codes`` keyword.
-MergeDetector = Callable[[Sequence[Vec], int], List[MergePattern]]
-
-#: Signature of a run-start scanner: chain -> (chain index, RunStart)
-#: pairs in reference order (ascending index, direction +1 before -1).
-StartScanner = Callable[[ClosedChain], List[Tuple[int, RunStart]]]
 
 
 class Engine:
@@ -45,13 +37,6 @@ class Engine:
         The chain to gather (mutated in place).
     params:
         Algorithm constants.
-    merge_detector:
-        Pattern detector; defaults to the pure-Python reference scanner.
-    start_scanner:
-        Bulk run-start scanner replacing the per-robot
-        :func:`run_start_decisions` loop; defaults to the reference
-        per-window path.  Must be behaviourally equivalent (the
-        contract is property-tested, see DESIGN.md §2.8).
     check_invariants:
         Verify model invariants after every round (slower; on in tests).
     trace:
@@ -59,18 +44,12 @@ class Engine:
     """
 
     def __init__(self, chain: ClosedChain, params: Parameters,
-                 merge_detector: Optional[MergeDetector] = None,
-                 start_scanner: Optional[StartScanner] = None,
                  check_invariants: bool = True,
                  trace: Optional[Trace] = None):
         self.chain = chain
         self.params = params
         self.registry = RunRegistry()
         self.round_index = 0
-        self._detector: MergeDetector = merge_detector or find_merge_patterns
-        self._detector_wants_codes = bool(
-            getattr(self._detector, "wants_edge_codes", False))
-        self._start_scanner = start_scanner
         self._check = check_invariants
         self.trace = trace
 
@@ -122,19 +101,11 @@ class Engine:
         lookup, fwd_carriers, bwd_carriers = registry.round_state(index_map)
         carriers = (fwd_carriers, bwd_carriers)
 
-        # 1-2. merge plan ---------------------------------------------------
-        if n0 >= 4:
-            k_eff = params.effective_k_max
-            if self._detector_wants_codes:
-                patterns = self._detector(positions, k_eff,
-                                          codes=chain.edge_codes(),
-                                          codes_list=chain.edge_codes_list())
-            else:
-                patterns = self._detector(positions, k_eff)
-            mplan = plan_merges(positions, ids, k_eff, patterns=patterns) \
-                if patterns else _EMPTY_MERGE_PLAN
-        else:
-            mplan = _EMPTY_MERGE_PLAN
+        # 1-2. merge plan (no patterns below n = 4) --------------------------
+        k_eff = params.effective_k_max
+        patterns = find_merge_patterns(positions, k_eff)
+        mplan = plan_merges(positions, ids, k_eff, patterns=patterns) \
+            if patterns else _EMPTY_MERGE_PLAN
 
         # 3. run decisions ----------------------------------------------------
         # decide_run reads row-local snapshots (one bulk gather) instead
@@ -157,20 +128,13 @@ class Engine:
         starts: List[Tuple[int, RunStart]] = []
         if round_index % params.start_interval == 0:
             participants = mplan.participants
-            if self._start_scanner is not None:
-                for i, rs in self._start_scanner(chain):
-                    rid = ids[i]
-                    if rid not in participants:
-                        starts.append((rid, rs))
-            else:
-                window = ChainWindow(chain, 0, params.viewing_path_length,
-                                     lookup)
-                for i in range(chain.n):
-                    rid = ids[i]
-                    if rid in participants:
-                        continue
-                    for rs in run_start_decisions(window.reanchor(i)):
-                        starts.append((rid, rs))
+            window = ChainWindow(chain, 0, params.viewing_path_length, lookup)
+            for i in range(chain.n):
+                rid = ids[i]
+                if rid in participants:
+                    continue
+                for rs in run_start_decisions(window.reanchor(i)):
+                    starts.append((rid, rs))
 
         # 5-6. resolve hops; run terminations and mode transitions --------------
         # decisions are paired with `active` positionally; the shared

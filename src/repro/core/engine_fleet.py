@@ -49,9 +49,9 @@ from repro.core.decisions_vectorized import (
     decide_and_apply_fleet,
     decide_and_apply_scalar,
 )
-from repro.core.engine_vectorized import find_merge_patterns_np
 from repro.core.events import RoundReport
 from repro.core.merges import plan_merges_arrays, segment_min_lookup
+from repro.core.patterns import find_merge_patterns_np
 from repro.core.results import ChainOutcome, GatheringResult
 from repro.core.runs import (
     MODE_INIT_CORNER,
@@ -255,8 +255,8 @@ def _fleet_merge_candidates(arena: ChainArena, eligible: np.ndarray,
                             k_max: int):
     """Merge-pattern candidates of every eligible chain, one RLE pass.
 
-    Fleet rendering of the vectorised detector's run-length scan
-    (:func:`repro.core.engine_vectorized._merge_patterns_rle`): run
+    Fleet rendering of the edge-code detector's run-length scan
+    (:func:`repro.core.patterns._merge_patterns_rle`): run
     boundaries fall out of one ``codes[cell] != codes[prev]``
     comparison over the arena topology and the per-run spike/U-shape
     conditions are elementwise masks over the fleet-wide run arrays —
@@ -430,9 +430,11 @@ def _fleet_run_starts(arena: ChainArena,
                       ) -> Optional[FleetStarts]:
     """Every eligible chain's Fig. 5 run-start decisions, one fleet pass.
 
-    Fleet rendering of :func:`repro.core.engine_vectorized.scan_run_starts`:
-    the rolled-code comparisons become gathers through the arena
-    topology, and the candidate refinement — the Fig. 5 (i)/(ii)
+    Array rendering of :func:`repro.core.patterns.run_start_decisions`
+    over every robot.  The window's shape conditions become edge-code
+    comparisons gathered through the arena topology (axis-unit: a
+    valid code; equal edges: equal codes; perpendicular: differing
+    code parity), and the candidate refinement — the Fig. 5 (i)/(ii)
     corner grammar on the three codes behind each fired anchor — is a
     masked comparison over further topology gathers, evaluated only
     where the cheap base condition fired.  No per-candidate Python.
@@ -1395,7 +1397,7 @@ class FleetKernel:
         The array tier is the fleet-wide RLE detection and planning
         (the kernel engine's n >= 4 gate applies per chain).  A
         single segment's quiet rounds route through the per-chain
-        detector and planner (shared with the vectorised engine): same
+        detector and planner (:meth:`_merge_plan_single`): same
         plan, a fraction of the dispatch on a handful of patterns.
         """
         arena = self.arena
@@ -1525,8 +1527,9 @@ class FleetKernel:
     def _merge_plan_single(self, k_max: int) -> Optional[FleetMergePlan]:
         """Merge stage of a single-segment arena via the per-chain path.
 
-        Runs the vectorised engine's detector and the shared
-        :func:`~repro.core.merges.plan_merges_arrays` planner over the
+        Runs the edge-code detector
+        (:func:`~repro.core.patterns.find_merge_patterns_np`) and the
+        shared :func:`~repro.core.merges.plan_merges_arrays` planner over the
         one chain (identical plans to the fleet-wide scan, pinned by
         the conformance suite) and lifts the result into fleet terms —
         a single segment's chain indices are its global cells, so the

@@ -1,43 +1,30 @@
 """The kernel engine: a fleet-of-one on the shared fleet substrate.
 
-Third engine variant (after ``"reference"`` and ``"vectorized"``,
-DESIGN.md §2.9).  Since the fleet tier (DESIGN.md §2.10) exists, the
-whole array-native round pipeline lives in one place —
-:class:`~repro.core.engine_fleet.FleetKernel` — and the single-chain
-kernel engine is simply that pipeline driven over a single-segment
-:class:`~repro.core.arena.ChainArena`: merge detection and planning,
-the fused decision stage, the movement scatter, the segmented
-contraction pass and the bulk run advancement/starts all execute the
-fleet code paths with one chain in the arena.  The bespoke per-chain
-round loop this module used to carry is gone; what the unification
-buys concretely:
-
-* one vectorised pipeline to maintain and test instead of two
-  (``merge/move/advance`` stages existed once per tier before);
-* the fleet's fully vectorised rare-case handling — ``INIT_CORNER``
-  op (c) hops, run-start corner refinement, the contraction survivor
-  rule — replaces the per-window / per-event Python fallbacks the
-  single-chain loop still contained;
-* the stages stay adaptive on per-round activity: a round after one
-  that executed fewer than
-  :data:`~repro.core.engine_fleet.ARRAY_MIN_PATTERNS` merge patterns
-  plans and scatters on the per-chain tier, and below
-  :data:`~repro.core.decisions_vectorized.NUMPY_MIN_RUNS` active runs
-  decisions drop to the tight scalar fold
-  (:func:`~repro.core.decisions_vectorized.decide_and_apply_scalar`),
-  so small chains keep their low per-round latency while merge-dense
-  rounds run on the fleet's array stages.
+The array rendering of the ``"reference"`` engine (DESIGN.md §2.9):
+the round pipeline of :class:`~repro.core.engine_fleet.FleetKernel`
+driven over a single-segment :class:`~repro.core.arena.ChainArena`.
+Merge detection and planning, the fused decision stage, the movement
+scatter, the segmented contraction pass and the bulk run
+advancement/starts all execute the fleet code paths with one chain in
+the arena.  The stages stay adaptive on per-round activity: a round
+after one that executed fewer than
+:data:`~repro.core.engine_fleet.ARRAY_MIN_PATTERNS` merge patterns
+plans and scatters on the per-chain tier, and below
+:data:`~repro.core.decisions_vectorized.NUMPY_MIN_RUNS` active runs
+decisions drop to the tight scalar fold
+(:func:`~repro.core.decisions_vectorized.decide_and_apply_scalar`), so
+small chains keep their low per-round latency while merge-dense rounds
+run on the fleet's array stages.
 
 The rounds produced are bit-identical to the reference engine —
 property-tested trace-for-trace and report-for-report in
 ``tests/test_conformance.py``.
 
-Scheduler compatibility: a subclass overriding
-:meth:`~repro.core.engine.Engine._select_moves` (the SSYNC hook) is
-detected at construction and routed through the reference round
-pipeline with the vectorised scanners (the ``"vectorized"`` engine's
-configuration — behaviourally identical rounds), so activation
-policies keep working at the cost of the per-robot loop.
+Scheduler hooks: the fleet pipeline never calls
+:meth:`~repro.core.engine.Engine._select_moves`, so a subclass that
+overrides it raises :class:`TypeError` at construction; activation
+policies (:mod:`repro.schedulers`) subclass the reference
+:class:`~repro.core.engine.Engine`.
 """
 
 from __future__ import annotations
@@ -48,7 +35,6 @@ from repro.core.chain import ClosedChain
 from repro.core.config import Parameters
 from repro.core.engine import Engine
 from repro.core.engine_fleet import FleetKernel
-from repro.core.engine_vectorized import find_merge_patterns_np, scan_run_starts
 from repro.core.events import RoundReport, Trace
 
 
@@ -62,17 +48,13 @@ class KernelEngine(Engine):
     def __init__(self, chain: ClosedChain, params: Parameters,
                  check_invariants: bool = True,
                  trace: Optional[Trace] = None):
-        super().__init__(chain, params,
-                         merge_detector=find_merge_patterns_np,
-                         start_scanner=scan_run_starts,
-                         check_invariants=check_invariants,
-                         trace=trace)
         if type(self)._select_moves is not Engine._select_moves:
-            # scheduler-hook compatibility: partial-activation
-            # subclasses run the reference pipeline (vectorised
-            # scanners), which funnels every move through the hook
-            self._fleet: Optional[FleetKernel] = None
-            return
+            raise TypeError(
+                f"{type(self).__name__} overrides _select_moves, which the "
+                "kernel pipeline never calls; subclass the reference "
+                "Engine for scheduler hooks")
+        super().__init__(chain, params, check_invariants=check_invariants,
+                         trace=trace)
         self._fleet = FleetKernel(
             [chain], params=params, check_invariants=check_invariants,
             keep_reports=True, validate_initial=False)
@@ -84,8 +66,6 @@ class KernelEngine(Engine):
     def step(self) -> RoundReport:
         """Execute one full FSYNC round and return its report."""
         fleet = self._fleet
-        if fleet is None:                  # SSYNC-hook subclass
-            return Engine.step(self)
         if self.trace is not None:
             self.trace.record_snapshot(self.snapshot())
         fleet.round_index = self.round_index

@@ -71,8 +71,8 @@ def plan_merges(positions: Sequence[Vec], ids: Sequence[int], k_max: int,
                 patterns: List[MergePattern] | None = None) -> MergePlan:
     """Combine all merge patterns into one simultaneous hop assignment.
 
-    ``patterns`` may be supplied by an alternative detector (the
-    vectorised engine); otherwise the reference detector runs.
+    ``patterns`` may pass the detector's output when the caller has
+    already scanned; otherwise the reference detector runs.
     """
     n = len(positions)
     if patterns is None:

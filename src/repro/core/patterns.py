@@ -15,13 +15,18 @@ subchain.  This module contains the three recognisers:
 
 All recognisers are pure functions of edge vectors, so they apply
 unchanged under every rotation/reflection (the vectors carry the
-orientation).
+orientation).  The merge recogniser also comes in an edge-code
+rendering, :func:`find_merge_patterns_np`, which the kernel engine's
+per-chain merge tier runs; it must equal :func:`find_merge_patterns`
+pattern for pattern (``tests/test_conformance.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.grid.lattice import (
     Vec,
@@ -32,6 +37,7 @@ from repro.grid.lattice import (
     neg,
     sub,
 )
+from repro.core.chain import CODE_TO_DIR, encode_edges
 from repro.core.view import ChainWindow
 
 
@@ -102,6 +108,126 @@ def find_merge_patterns(positions: Sequence[Vec], k_max: int) -> List[MergePatte
                 if k + 2 <= n:             # pattern must not lap the chain
                     patterns.append(MergePattern(first_black=i, k=k, direction=d))
                 break
+    return patterns
+
+
+#: Below this size the run-length scan runs in plain Python over the
+#: code list: per-call NumPy dispatch overhead (~1-2 µs per array op,
+#: ~25 ops) exceeds a tight integer loop until chains get this long.
+#: Both paths are behaviourally identical (shared property tests).
+_NUMPY_MIN_N = 1024
+
+
+def _merge_patterns_rle(code: np.ndarray, n: int, k_max: int,
+                        code_list: Optional[List[int]] = None) -> List[MergePattern]:
+    """Merge patterns from the run-length encoding of the code array.
+
+    Boundary finding is one vectorised comparison; the per-run checks
+    run in Python because the number of runs is small.  ``code_list``
+    may pass the chain's cached list rendering for the scalar reads.
+    """
+    interior = np.flatnonzero(code[1:] != code[:-1])
+    starts = [i + 1 for i in interior.tolist()]
+    if code[0] != code[-1]:
+        starts.insert(0, 0)
+    if not starts:
+        return []
+    m = len(starts)
+    if code_list is not None:
+        run_codes = [code_list[s] for s in starts]
+    else:
+        run_codes = code[starts].tolist()
+    # one pass over the run boundaries, collecting into two lists so the
+    # output order stays "all k = 1 spikes, then all k >= 2 shapes"
+    # (plan_merges priority is order-sensitive)
+    spikes: List[MergePattern] = []
+    longs: List[MergePattern] = []
+    flanked = m >= 3                          # a closed chain cannot be one run
+    for r in range(m):
+        rc = run_codes[r]
+        pc = run_codes[r - 1]
+        if pc < 0:
+            continue
+        po = pc ^ 2
+        # k = 1 spikes: a run boundary whose codes are exact opposites
+        if rc == po and rc >= 0:
+            spikes.append(MergePattern(first_black=starts[r], k=1,
+                                       direction=CODE_TO_DIR[rc]))
+        if not flanked or rc < 0:
+            continue
+        # k >= 2: a straight run flanked by opposite perpendicular codes
+        nc = run_codes[(r + 1) % m]
+        if nc != po or not ((rc ^ pc) & 1):
+            continue
+        nxt_start = starts[r + 1] if r + 1 < m else starts[0] + n
+        k = nxt_start - starts[r] + 1
+        if k <= k_max and k + 2 <= n:
+            longs.append(MergePattern(first_black=starts[r], k=k,
+                                      direction=CODE_TO_DIR[nc]))
+    if not longs:
+        return spikes
+    return spikes + longs
+
+
+def find_merge_patterns_np(positions: Sequence[Vec], k_max: int,
+                           codes: Optional[np.ndarray] = None,
+                           codes_list: Optional[List[int]] = None) -> List[MergePattern]:
+    """Edge-code equivalent of :func:`find_merge_patterns`.
+
+    ``codes`` may pass the chain's cached edge-code array
+    (:meth:`ClosedChain.edge_codes`) to skip re-encoding; otherwise the
+    codes are computed from ``positions``.
+
+    Everything is found on the run-length encoding of the cyclic code
+    sequence: a spike (k = 1) is a run boundary whose codes are exact
+    opposites, and a longer U-shape is a maximal straight run flanked
+    by opposite perpendicular codes.  The scan itself is adaptive: on
+    short chains it runs as a tight Python loop over the code list, on
+    long chains as NumPy array operations — same results either way
+    (DESIGN.md §2.8).
+    """
+    n = len(positions)
+    if n < 4:
+        return []
+    code = encode_edges(positions) if codes is None else codes
+    if n < _NUMPY_MIN_N:
+        return _merge_patterns_rle(code, n, k_max, codes_list)
+
+    prev = np.roll(code, 1)
+    starts = np.flatnonzero(code != prev)
+    if len(starts) == 0:
+        return []
+    run_codes = code[starts]
+    prev_codes = np.roll(run_codes, 1)
+    valid = run_codes >= 0
+    valid_prev = prev_codes >= 0
+
+    patterns: List[MergePattern] = []
+
+    # --- k = 1 spikes: lead edge followed immediately by its opposite ------
+    spike = valid & valid_prev & (run_codes == (prev_codes + 2) % 4)
+    for r in np.flatnonzero(spike):
+        i = int(starts[r])
+        patterns.append(MergePattern(first_black=i, k=1,
+                                     direction=CODE_TO_DIR[code[i]]))
+
+    # --- k >= 2: straight run flanked by opposite perpendicular codes ------
+    if len(starts) < 3:
+        return patterns                       # a closed chain cannot be one run
+    lengths = np.diff(np.append(starts, starts[0] + n))
+    next_codes = np.roll(run_codes, -1)
+
+    ok = valid & valid_prev & (next_codes >= 0)
+    # flanks opposite: closing edge is the exact opposite of the lead edge
+    ok &= next_codes == (prev_codes + 2) % 4
+    # middle perpendicular to the flanks (parity of the code gives the axis)
+    ok &= ((run_codes ^ prev_codes) & 1) == 1
+    ok &= (lengths + 1 <= k_max) & (lengths + 3 <= n)
+
+    for r in np.flatnonzero(ok):
+        patterns.append(MergePattern(first_black=int(starts[r]),
+                                     k=int(lengths[r]) + 1,
+                                     direction=CODE_TO_DIR[next_codes[r]]))
     return patterns
 
 

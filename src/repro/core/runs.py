@@ -427,7 +427,7 @@ class RunRegistry:
         field :func:`~repro.core.algorithm.decide_run` reads becomes a
         plain attribute instead of a matrix-backed property
         (DESIGN.md §2.9 — the SoA refactor's scalar-read tax on the
-        reference/vectorized engines).
+        reference engine).
         """
         return [
             DecisionRow(rid, row[COL_ROBOT], row[COL_DIRN],

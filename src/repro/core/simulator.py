@@ -16,13 +16,12 @@ from repro.core.chain import ClosedChain
 from repro.core.config import DEFAULT_PARAMETERS, Parameters
 from repro.core.engine import Engine
 from repro.core.engine_kernel import KernelEngine
-from repro.core.engine_vectorized import find_merge_patterns_np, scan_run_starts
 from repro.core.events import RoundReport, Trace
 from repro.core.results import GatheringResult
 
 __all__ = ["ENGINES", "GatheringResult", "Simulator", "gather"]
 
-ENGINES = ("reference", "vectorized", "kernel")
+ENGINES = ("reference", "kernel")
 
 
 class Simulator:
@@ -35,12 +34,11 @@ class Simulator:
     params:
         Algorithm constants (defaults to the paper's).
     engine:
-        ``"reference"`` (pure Python merge scan), ``"vectorized"``
-        (NumPy merge/run-start scans on the reference pipeline) or
-        ``"kernel"`` (the fleet substrate driven over a
-        single-segment arena — the whole round pipeline on arrays).
-        All three are behaviourally identical (property-tested in
-        ``tests/test_conformance.py``).
+        ``"reference"`` (every robot decides through its own window,
+        the executable specification) or ``"kernel"`` (the fleet
+        substrate driven over a single-segment arena — the whole
+        round pipeline on arrays).  Both are behaviourally identical
+        (property-tested in ``tests/test_conformance.py``).
     check_invariants:
         Verify model invariants every round.
     record_trace:
@@ -59,19 +57,11 @@ class Simulator:
             chain.validate(initial=True)
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-        vectorized = engine == "vectorized"
         self.trace = Trace() if record_trace else None
-        if engine == "kernel":
-            self.engine: Engine = KernelEngine(
-                chain, params, check_invariants=check_invariants,
-                trace=self.trace)
-        else:
-            self.engine = Engine(
-                chain, params,
-                merge_detector=find_merge_patterns_np if vectorized else None,
-                start_scanner=scan_run_starts if vectorized else None,
-                check_invariants=check_invariants,
-                trace=self.trace)
+        engine_cls = KernelEngine if engine == "kernel" else Engine
+        self.engine: Engine = engine_cls(
+            chain, params, check_invariants=check_invariants,
+            trace=self.trace)
         self.initial_n = chain.n
         self.reports: List[RoundReport] = []
 

@@ -585,8 +585,7 @@ class StreamSupervisor:
                              check_invariants=self.check_invariants,
                              workers=self.workers,
                              keep_reports=self.keep_reports,
-                             validate_initial=self.validate_initial,
-                             backend="fleet")
+                             validate_initial=self.validate_initial)
         dl = DeadLetterWriter(self.dead_letter) if self.dead_letter else None
         quarantined = 0
         try:

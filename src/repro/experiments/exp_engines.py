@@ -1,11 +1,11 @@
-"""EXP-P1 — engineering: reference vs vectorised vs kernel engine.
+"""EXP-P1 — engineering: reference vs kernel engine.
 
 Not a paper artifact, but a reproduction-quality requirement: the
-NumPy-vectorised and array-native kernel engines must be behaviourally
-identical to the reference engine (checked trace-by-trace here and
-property-tested in the test suite) and measurably faster on large
-chains (timed per engine below; the kernel's end-to-end throughput is
-tracked by ``perfbench/``).
+array-native kernel engine must be behaviourally identical to the
+reference engine (checked trace-by-trace here and property-tested in
+the test suite) and measurably faster on large chains (timed per
+engine below; the kernel's end-to-end throughput is tracked by
+``perfbench/``).
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from repro.core.simulator import ENGINES, Simulator
 from repro.chains import random_chain, square_ring
 from repro.analysis import format_table
 from repro.experiments.harness import ExperimentResult, register
-
-_FAST_ENGINES = tuple(e for e in ENGINES if e != "reference")
 
 
 def _identical_traces(pts, rounds: int) -> bool:
@@ -56,7 +54,6 @@ def run(quick: bool = False) -> ExperimentResult:
         rows.append({
             "n": 4 * (side - 1),
             "reference_s": round(timings["reference"], 3),
-            "vectorized_s": round(timings["vectorized"], 3),
             "kernel_s": round(timings["kernel"], 3),
             "kernel_speedup": round(
                 timings["reference"] / max(timings["kernel"], 1e-9), 2),

@@ -115,7 +115,7 @@ def natural_occurrences(quick: bool) -> Dict[str, int]:
     rng = random.Random(1)
     chains = [random_chain(rng.choice([48, 96, 160]), rng)
               for _ in range(6 if quick else 24)]
-    # kernel engine + fleet backend: bit-identical reports to the
+    # kernel engine on the fleet kernel: bit-identical reports to the
     # reference engine (property-tested), at sweep throughput
     batch = sweep_gather(chains)
     counts: Dict[str, int] = {}

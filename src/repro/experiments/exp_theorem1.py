@@ -29,7 +29,7 @@ def _family_runs(quick: bool) -> List[Dict[str, object]]:
 
     def record(family: str, pts) -> None:
         diameter = bounding_box(pts).diameter
-        res = gather(pts, engine="vectorized")
+        res = gather(pts, engine="kernel")
         rows.append({
             "family": family,
             "n": res.initial_n,

@@ -23,7 +23,7 @@ def run(quick: bool = False) -> ExperimentResult:
     rows: List[dict] = []
     all_ok = True
     for n in sizes:
-        rep = verify_all(n, engine="vectorized")
+        rep = verify_all(n, engine="reference")
         ok = rep.complete
         all_ok &= ok
         rows.append({"n": n, "configurations": rep.total,

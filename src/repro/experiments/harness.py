@@ -61,17 +61,16 @@ def sweep_gather(chains: Sequence, *,
                  check_invariants: bool = False,
                  keep_reports: bool = True,
                  max_rounds: Optional[int] = None,
-                 workers: Optional[int] = None,
-                 backend: str = "auto"):
+                 workers: Optional[int] = None):
     """Gather a fleet of chains for an experiment sweep.
 
     Thin wrapper over :func:`repro.core.batch.gather_batch` that applies
     the harness-wide worker default; returns a
     :class:`~repro.core.batch.BatchResult` (results in input order).
-    With the defaults (kernel engine, ``backend="auto"``) sweeps run on
-    the shared-array fleet backend — the Table 1 statistics and the
-    ablation grids are exactly the many-small-chains workload it
-    amortises (DESIGN.md §2.10).
+    With the default kernel engine, sweeps run on the shared-array
+    fleet kernel — the Table 1 statistics and the ablation grids are
+    exactly the many-small-chains workload it amortises (DESIGN.md
+    §2.10).
     """
     from repro.core.batch import gather_batch
     from repro.core.config import DEFAULT_PARAMETERS
@@ -81,8 +80,7 @@ def sweep_gather(chains: Sequence, *,
                         check_invariants=check_invariants,
                         keep_reports=keep_reports,
                         max_rounds=max_rounds,
-                        workers=workers if workers is not None else _DEFAULT_WORKERS,
-                        backend=backend)
+                        workers=workers if workers is not None else _DEFAULT_WORKERS)
 
 
 def register(experiment_id: str):

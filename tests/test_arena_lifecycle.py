@@ -141,7 +141,7 @@ def assert_stream_equals_singles(fleet_pts, slots, max_rounds=None,
                          check_invariants=check_invariants).run(
                              max_rounds=max_rounds)
                for p in fleet_pts]
-    sim = BatchSimulator([], engine="kernel", backend="fleet",
+    sim = BatchSimulator([], engine="kernel",
                          check_invariants=check_invariants,
                          keep_reports=True, workers=workers)
     got = dict(sim.run_stream([list(p) for p in fleet_pts], slots=slots,
@@ -418,8 +418,7 @@ class TestStreamingEquivalence:
         # uniform chains: one provisioning grow to slots × n cells,
         # perfect slot recycling afterwards — the bounded-memory claim
         n_chains, slots = 40, 8
-        sim = BatchSimulator([], engine="kernel", backend="fleet",
-                             keep_reports=False)
+        sim = BatchSimulator([], engine="kernel", keep_reports=False)
         results = list(sim.run_stream(
             (square_ring(10) for _ in range(n_chains)), slots=slots))
         assert len(results) == n_chains
@@ -458,7 +457,7 @@ class TestStreamingEquivalence:
         singles = [Simulator(list(p), engine="kernel").run()
                    for p in head + tail]
         sim = BatchSimulator([list(p) for p in head], engine="kernel",
-                             backend="fleet", keep_reports=True)
+                             keep_reports=True)
         got = dict(sim.run_stream([list(p) for p in tail], slots=2))
         for i, s in enumerate(singles):
             assert _result_key(got[i]) == _result_key(s)
@@ -476,11 +475,11 @@ class TestStreamingEquivalence:
         assert uncapped[1].rounds == single.rounds
 
     def test_empty_stream(self):
-        sim = BatchSimulator([], engine="kernel", backend="fleet")
+        sim = BatchSimulator([], engine="kernel")
         assert list(sim.run_stream((), slots=4)) == []
 
     def test_stream_requires_fleet_backend(self):
-        sim = BatchSimulator([], engine="vectorized", backend="process")
+        sim = BatchSimulator([], engine="reference")
         with pytest.raises(ValueError):
             list(sim.run_stream([square_ring(8)], slots=2))
 
@@ -488,8 +487,7 @@ class TestStreamingEquivalence:
         kernel = FleetKernel([])
         with pytest.raises(ValueError):
             list(kernel.run_stream([square_ring(8)], slots=0))
-        sim = BatchSimulator([], engine="kernel", backend="fleet",
-                             workers=2)
+        sim = BatchSimulator([], engine="kernel", workers=2)
         with pytest.raises(ValueError):       # pool path validates too
             list(sim.run_stream([square_ring(8)], slots=0))
 
@@ -498,8 +496,7 @@ class TestStreamingEquivalence:
         # worker: the pool shrinks to `slots` workers instead
         pts = [square_ring(8 + 2 * (k % 4)) for k in range(8)]
         singles = [Simulator(list(p), engine="kernel").run() for p in pts]
-        sim = BatchSimulator([], engine="kernel", backend="fleet",
-                             workers=4)
+        sim = BatchSimulator([], engine="kernel", workers=4)
         got = dict(sim.run_stream([list(p) for p in pts], slots=2))
         assert sim.last_stream_stats["workers"] == 2
         for i, s in enumerate(singles):
@@ -507,8 +504,7 @@ class TestStreamingEquivalence:
 
     def test_progress_reports_unknown_total(self):
         calls = []
-        sim = BatchSimulator([], engine="kernel", backend="fleet",
-                             keep_reports=False)
+        sim = BatchSimulator([], engine="kernel", keep_reports=False)
         list(sim.run_stream([square_ring(8) for _ in range(5)], slots=2,
                             progress=lambda d, t: calls.append((d, t))))
         assert calls and calls[-1] == (5, 5)   # total == chains submitted,
@@ -618,8 +614,7 @@ class TestIncrementalTopology:
     def test_churn_stream_bounds_rebuilds(self):
         """Full rebuilds scale with compactions + grows, not rounds —
         the bounded-rebuild claim of the delta algebra."""
-        sim = BatchSimulator([], engine="kernel", backend="fleet",
-                             keep_reports=False)
+        sim = BatchSimulator([], engine="kernel", keep_reports=False)
         rings = [square_ring(3), square_ring(4)]
         done = sum(1 for _ in sim.run_stream(
             (list(rings[i % 2]) for i in range(400)), slots=16))
@@ -685,8 +680,7 @@ class TestBatchIntake:
         pts = [square_ring(8), square_ring(10), square_ring(12)]
         payloads = [np.array(pts[0]), ClosedChain(pts[1]), list(pts[2])]
         singles = [Simulator(list(p), engine="kernel").run() for p in pts]
-        sim = BatchSimulator([], engine="kernel", backend="fleet",
-                             keep_reports=True)
+        sim = BatchSimulator([], engine="kernel", keep_reports=True)
         got = dict(sim.run_stream(iter(payloads), slots=3))
         for i, s in enumerate(singles):
             assert _result_key(got[i]) == _result_key(s)

@@ -1,4 +1,4 @@
-"""BatchSimulator: fleet gathering, ordering, process-pool parity."""
+"""BatchSimulator: fleet gathering, ordering, pool and engine parity."""
 
 import random
 
@@ -22,8 +22,8 @@ class TestBatchBasics:
 
     def test_matches_single_simulator(self):
         pts = square_ring(10)
-        batch = gather_batch([pts], engine="vectorized")
-        single = gather(list(pts), engine="vectorized")
+        batch = gather_batch([pts], engine="reference")
+        single = gather(list(pts), engine="reference")
         assert batch[0].rounds == single.rounds
         assert batch[0].final_positions == single.final_positions
 
@@ -31,9 +31,9 @@ class TestBatchBasics:
         rng = random.Random(7)
         chains = [random_chain(48, rng) for _ in range(3)]
         ref = gather_batch(chains, engine="reference")
-        vec = gather_batch(chains, engine="vectorized")
-        assert [r.rounds for r in ref] == [r.rounds for r in vec]
-        assert [r.final_positions for r in ref] == [r.final_positions for r in vec]
+        ker = gather_batch(chains, engine="kernel")
+        assert [r.rounds for r in ref] == [r.rounds for r in ker]
+        assert [r.final_positions for r in ref] == [r.final_positions for r in ker]
 
     def test_keep_reports_false_strips_reports(self):
         batch = gather_batch(_fleet((8,)), keep_reports=False)
@@ -54,6 +54,13 @@ class TestBatchBasics:
     def test_bad_workers_rejected(self):
         with pytest.raises(ValueError):
             BatchSimulator(_fleet(), workers=0)
+
+    def test_reference_batch_refuses_workers(self):
+        with pytest.raises(ValueError, match="gathers in-process"):
+            BatchSimulator(_fleet(), engine="reference", workers=2)
+        # one worker is the in-process loop itself
+        assert gather_batch(_fleet(), engine="reference",
+                            workers=1).all_gathered
 
     def test_empty_fleet(self):
         batch = gather_batch([])
@@ -77,14 +84,14 @@ def _result_key(r):
 
 
 class TestBackendDeterminism:
-    """Every backend × workers combination is bit-deterministic.
+    """Every engine × workers combination is bit-deterministic.
 
     The simulation itself is deterministic (no RNG inside the round
-    pipeline), so ``backend="fleet"``, ``"process"`` and ``"auto"``
-    must produce identical per-chain results — including full report
-    streams and the fleet-of-one kernel path — under any ``workers``
-    sharding, and must not consume or perturb the caller's RNG
-    streams.
+    pipeline), so kernel batches (in-process fleet or supervised
+    pool), reference batches and fleet-of-one kernel runs must produce
+    identical per-chain results — including full report streams —
+    under any ``workers`` sharding, and must not consume or perturb
+    the caller's RNG streams.
     """
 
     FLEET = staticmethod(lambda: (
@@ -93,27 +100,25 @@ class TestBackendDeterminism:
 
     def test_backends_and_sharding_identical(self):
         chains = self.FLEET()
-        combos = [("fleet", 1), ("fleet", 2), ("fleet", 3),
-                  ("process", 1), ("process", 2), ("auto", 1), ("auto", 2)]
-        keys = None
-        for backend, workers in combos:
-            batch = gather_batch([list(c) for c in chains], backend=backend,
+        combos = [("kernel", 1), ("kernel", 2), ("kernel", 3),
+                  ("reference", 1)]
+        keys = [_result_key(Simulator(list(c), engine="kernel").run())
+                for c in chains]
+        for engine, workers in combos:
+            batch = gather_batch([list(c) for c in chains], engine=engine,
                                  workers=workers)
             got = [_result_key(r) for r in batch]
-            if keys is None:
-                keys = got
-            else:
-                assert got == keys, f"backend={backend} workers={workers}"
+            assert got == keys, f"engine={engine} workers={workers}"
 
     def test_single_chain_auto_is_fleet_of_one(self):
-        # auto + kernel engine routes one chain through the fleet
-        # backend; must equal the process backend bit for bit
+        # the default kernel batch runs one chain as a fleet of one;
+        # must equal the reference batch bit for bit
         pts = crenellation(6, 1, 5)
-        auto = gather_batch([list(pts)], backend="auto")
-        proc = gather_batch([list(pts)], backend="process")
-        assert BatchSimulator([list(pts)]).backend == "fleet"
+        auto = gather_batch([list(pts)])
+        ref = gather_batch([list(pts)], engine="reference")
+        assert BatchSimulator([list(pts)]).engine == "kernel"
         assert [_result_key(r) for r in auto] == \
-            [_result_key(r) for r in proc]
+            [_result_key(r) for r in ref]
 
     def test_rng_streams_untouched(self):
         # gathering must not advance or reseed the global RNG streams
@@ -123,8 +128,9 @@ class TestBackendDeterminism:
         np.random.seed(0xBEEF)
         state_py = random.getstate()
         state_np = np.random.get_state()
-        for backend, workers in [("fleet", 1), ("fleet", 2), ("process", 2)]:
-            gather_batch(self.FLEET(), backend=backend, workers=workers,
+        for engine, workers in [("kernel", 1), ("kernel", 2),
+                                ("reference", 1)]:
+            gather_batch(self.FLEET(), engine=engine, workers=workers,
                          keep_reports=False)
         assert random.getstate() == state_py
         fresh = np.random.get_state()
@@ -134,8 +140,8 @@ class TestBackendDeterminism:
 
     def test_repeated_runs_identical(self):
         chains = self.FLEET()
-        a = gather_batch([list(c) for c in chains], backend="fleet")
-        b = gather_batch([list(c) for c in chains], backend="fleet")
+        a = gather_batch([list(c) for c in chains])
+        b = gather_batch([list(c) for c in chains])
         assert [_result_key(r) for r in a] == [_result_key(r) for r in b]
 
     def test_stream_matches_batch_any_slots_and_workers(self):
@@ -145,8 +151,7 @@ class TestBackendDeterminism:
         chains = [list(c) for c in self.FLEET()]
         want = [_result_key(r) for r in gather_batch(chains)]
         for slots, workers in [(1, 1), (2, 1), (len(chains), 1), (2, 2)]:
-            sim = BatchSimulator([], engine="kernel", backend="fleet",
-                                 workers=workers)
+            sim = BatchSimulator([], engine="kernel", workers=workers)
             got = dict(sim.run_stream(iter(chains), slots=slots))
             assert [_result_key(got[i]) for i in range(len(chains))] \
                 == want, f"slots={slots} workers={workers}"

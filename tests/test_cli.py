@@ -48,10 +48,6 @@ class TestGather:
         with pytest.raises(SystemExit):
             main(["gather", "--family", "dodecahedron"])
 
-    def test_vectorized_engine(self, capsys):
-        assert main(["gather", "--family", "octagon", "--n", "48",
-                     "--engine", "vectorized"]) == 0
-
     def test_default_engine_is_kernel(self, monkeypatch, capsys):
         import repro.cli
         engines = []
@@ -159,13 +155,23 @@ class TestBatchStream:
 
     def test_stream_requires_kernel_engine(self, tmp_path):
         path = self._write_jsonl(tmp_path, [square_ring(8)])
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["batch", "--stream", path, "--engine", "reference"])
+        assert str(exc.value) == ("--stream runs on the fleet kernel; "
+                                  "it requires --engine kernel")
 
-    def test_stream_rejects_process_backend(self, tmp_path):
-        path = self._write_jsonl(tmp_path, [square_ring(8)])
+    def test_reference_batch_refuses_workers(self):
+        # a one-line exit, not a traceback from BatchSimulator
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", "--engine", "reference", "--workers", "2"])
+        msg = str(exc.value)
+        assert "--engine reference gathers in-process" in msg
+        assert "\n" not in msg
+
+    def test_batch_has_no_backend_flag(self, capsys):
         with pytest.raises(SystemExit):
-            main(["batch", "--stream", path, "--backend", "process"])
+            main(["batch", "--help"])
+        assert "--backend" not in capsys.readouterr().out
 
     def test_stream_rejects_bad_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -16,8 +16,9 @@ every engine and on the fleet's batch and stream paths.  Every
 single-segment tier switch of the kernel (merge plan and movement
 scatter, decisions) is pinned both ways, and the hypothesis-generated
 random and merge-dense chains run on every engine.  The
-detector-level equivalence (reference scan vs NumPy scan) rides
-along, since the engines' conformance rests on it.
+detector-level equivalence (reference scan vs the edge-code scan the
+kernel's per-chain merge tier runs, both of its bodies) rides along,
+since the engines' conformance rests on it.
 """
 
 import random
@@ -25,11 +26,10 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from repro.core import engine_fleet
+from repro.core import engine_fleet, patterns
 from repro.core.chain import ClosedChain
 from repro.core.engine_fleet import FleetKernel, gather_fleet
-from repro.core.engine_vectorized import find_merge_patterns_np
-from repro.core.patterns import find_merge_patterns
+from repro.core.patterns import find_merge_patterns, find_merge_patterns_np
 from repro.core.runs import RunRegistry
 from repro.core.simulator import ENGINES, Simulator
 from repro.chains import (
@@ -331,11 +331,25 @@ class TestPropertyConformance:
 
 
 class TestDetectorConformance:
-    """Reference vs NumPy merge detector, pattern for pattern."""
+    """Reference vs edge-code merge detector, pattern for pattern.
+
+    The edge-code detector has a Python body below
+    ``patterns._NUMPY_MIN_N`` robots and a NumPy body above it; the
+    small cases run at the default crossover and with it forced to 0,
+    and a chain past the crossover pins the NumPy body at the default.
+    """
 
     @staticmethod
     def _normalize(patterns):
         return sorted((p.first_black, p.k, p.direction) for p in patterns)
+
+    def _assert_detectors_agree(self, pts, k_max):
+        want = self._normalize(find_merge_patterns(pts, k_max))
+        assert self._normalize(find_merge_patterns_np(pts, k_max)) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(patterns, "_NUMPY_MIN_N", 0)
+            assert self._normalize(find_merge_patterns_np(pts, k_max)) \
+                == want
 
     @pytest.mark.parametrize("k_max", [1, 2, 3, 10])
     @pytest.mark.parametrize("pts", [
@@ -343,20 +357,39 @@ class TestDetectorConformance:
         crenellation(4), stairway_octagon(8, 2), spiral(1),
     ], ids=["sq8", "sq16", "needle", "comb", "cren", "oct", "spiral"])
     def test_families(self, pts, k_max):
-        assert self._normalize(find_merge_patterns(pts, k_max)) == \
-            self._normalize(find_merge_patterns_np(pts, k_max))
+        self._assert_detectors_agree(pts, k_max)
 
     @given(closed_chain_positions(max_cells=35))
     def test_random_chains(self, pts):
         for k_max in (2, 10):
-            assert self._normalize(find_merge_patterns(pts, k_max)) == \
-                self._normalize(find_merge_patterns_np(pts, k_max))
+            self._assert_detectors_agree(pts, k_max)
 
     @given(merge_dense_chain_positions())
     def test_merge_dense_chains(self, pts):
         for k_max in (1, 10):
-            assert self._normalize(find_merge_patterns(pts, k_max)) == \
-                self._normalize(find_merge_patterns_np(pts, k_max))
+            self._assert_detectors_agree(pts, k_max)
+
+    def test_numpy_body_past_crossover(self):
+        # n = 1046: the reference's states over its first rounds stay
+        # at or above the default crossover, so every comparison runs
+        # the NumPy body, on the chain's cached codes as the kernel's
+        # per-chain merge tier calls it
+        sim = Simulator(crenellation(teeth=170, tooth_width=1,
+                                     base_height=13),
+                        engine="reference", check_invariants=False)
+        k_max = sim.params.effective_k_max
+        states = found = 0
+        while sim.chain.n >= patterns._NUMPY_MIN_N and states < 50:
+            chain = sim.chain
+            got = find_merge_patterns_np(chain.positions_view(), k_max,
+                                         codes=chain.edge_codes(),
+                                         codes_list=chain.edge_codes_list())
+            assert self._normalize(got) == \
+                self._normalize(find_merge_patterns(chain.positions, k_max))
+            states += 1
+            found += len(got)
+            sim.step()
+        assert states >= 5 and found > 1000
 
     def test_tiny_chains(self):
         for pts in ([(0, 0), (1, 0)], [(0, 0), (1, 0), (1, 1), (0, 1)]):

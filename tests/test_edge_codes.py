@@ -49,7 +49,7 @@ def test_codes_consistent_under_random_moves(pts, seed):
 
 
 def test_codes_consistent_through_full_gathering():
-    sim = Simulator(square_ring(10), engine="vectorized",
+    sim = Simulator(square_ring(10), engine="reference",
                     check_invariants=True)
     while not sim.is_gathered():
         sim.step()

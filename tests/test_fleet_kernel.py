@@ -7,7 +7,7 @@ gathered/stalled state, round counts, final positions and full
 round-report content (hops, merge records, run starts/terminations
 with exact stop reasons, conflict counters) — on generator families,
 random blobs, perturbed shapes, hypothesis-generated fleets, fleets
-whose members gather in different rounds, and both batch backends.
+whose members gather in different rounds, and both engines' batches.
 """
 
 import random
@@ -135,49 +135,50 @@ class TestBatchBackend:
     def test_fleet_backend_matches_process(self):
         rng = random.Random(7)
         chains = [random_chain(48, rng) for _ in range(3)]
-        a = gather_batch(chains, backend="fleet")
-        b = gather_batch(chains, backend="process")
+        a = gather_batch(chains)
+        b = gather_batch(chains, engine="reference")
         assert [r.rounds for r in a] == [r.rounds for r in b]
         assert [r.final_positions for r in a] == \
             [r.final_positions for r in b]
         assert [[_report_key(rep) for rep in r.reports] for r in a] == \
             [[_report_key(rep) for rep in r.reports] for r in b]
 
-    def test_auto_backend_selection(self):
-        assert BatchSimulator([square_ring(8)]).backend == "fleet"
-        assert BatchSimulator([square_ring(8)],
-                              engine="reference").backend == "process"
-        assert BatchSimulator([square_ring(8)],
-                              backend="process").backend == "process"
-
-    def test_fleet_backend_requires_kernel_engine(self):
-        with pytest.raises(ValueError):
-            BatchSimulator([square_ring(8)], engine="reference",
-                           backend="fleet")
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             BatchSimulator([square_ring(8)], backend="warp")
 
+    def test_backend_keyword_accepts_only_fleet_and_auto(self):
+        # the compatibility keyword selects nothing: "fleet" and "auto"
+        # run the same kernel batch, and the retired "process" is refused
+        chains = [square_ring(8), square_ring(10)]
+        want = [[_report_key(rep) for rep in r.reports]
+                for r in gather_batch(chains)]
+        for backend in ("fleet", "auto"):
+            got = BatchSimulator(chains, engine="kernel",
+                                 backend=backend).run()
+            assert [[_report_key(rep) for rep in r.reports]
+                    for r in got] == want
+        with pytest.raises(ValueError):
+            BatchSimulator(chains, backend="process")
+
     def test_workers_shard_the_fleet(self):
         chains = [square_ring(s) for s in (8, 10, 12, 14, 16)]
-        serial = gather_batch(chains, backend="fleet", workers=1)
-        sharded = gather_batch(chains, backend="fleet", workers=2)
+        serial = gather_batch(chains, workers=1)
+        sharded = gather_batch(chains, workers=2)
         assert sharded.workers == 2
         assert [r.rounds for r in serial] == [r.rounds for r in sharded]
         assert [r.final_positions for r in serial] == \
             [r.final_positions for r in sharded]
 
     def test_keep_reports_false_strips(self):
-        batch = gather_batch([square_ring(8)], backend="fleet",
-                             keep_reports=False)
+        batch = gather_batch([square_ring(8)], keep_reports=False)
         assert batch[0].reports == []
         assert batch[0].gathered
 
     def test_progress_callback(self):
         calls = []
         batch = gather_batch([square_ring(s) for s in (8, 10, 12)],
-                             backend="fleet", keep_reports=False,
+                             keep_reports=False,
                              progress=lambda done, total:
                              calls.append((done, total)))
         assert batch.all_gathered

@@ -3,7 +3,7 @@
 Behavioural equivalence lives in the cross-engine conformance suite
 (``tests/test_conformance.py``); this module pins the plumbing —
 simulator/batch acceptance, the fleet-of-one substrate, trace capture
-and the SSYNC scheduler-hook fallback.
+and the refusal of scheduler-hook subclasses.
 """
 
 import pytest
@@ -51,30 +51,16 @@ class TestFleetOfOneSubstrate:
         assert len(engine._fleet.arena.chains) == 1
         assert engine.registry is engine._fleet.registry
 
-    def test_ssync_hook_subclass_falls_back(self):
-        """A subclass overriding _select_moves routes through the
-        reference pipeline and still sees every move offered."""
-        seen = []
-
+    def test_hook_override_subclass_rejected(self):
+        """The fleet pipeline never calls _select_moves, so a subclass
+        overriding it is refused instead of silently ignored."""
         class Hooked(KernelEngine):
             def _select_moves(self, moves):
-                seen.append(dict(moves))
                 return moves
 
         from repro.core.chain import ClosedChain
-        pts = square_ring(12)
-        engine = Hooked(ClosedChain(list(pts)), DEFAULT_PARAMETERS,
-                        check_invariants=False)
-        assert engine._fleet is None       # legacy path selected
-        reference = Simulator(list(pts), engine="reference",
-                              check_invariants=False)
-        for _ in range(30):
-            if engine.chain.is_gathered():
-                break
-            engine.step()
-            reference.step()
-            assert engine.chain.positions == reference.chain.positions
-        assert seen and any(m for m in seen)
+        with pytest.raises(TypeError, match="Hooked overrides _select_moves"):
+            Hooked(ClosedChain(square_ring(12)), DEFAULT_PARAMETERS)
 
     def test_plain_kernel_has_no_legacy_hook(self):
         from repro.core.chain import ClosedChain

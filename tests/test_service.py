@@ -67,8 +67,7 @@ class _Service:
 
 def stream_reference(chains, slots=4):
     """What ``run_stream`` yields for the same admission order."""
-    sim = BatchSimulator([], engine="kernel", backend="fleet",
-                         keep_reports=False)
+    sim = BatchSimulator([], engine="kernel", keep_reports=False)
     ref = {}
     for idx, r in sim.run_stream(iter(chains), slots=slots):
         ref[idx] = {"chain": idx, "n": r.initial_n, "rounds": r.rounds,
@@ -365,8 +364,7 @@ class TestAdmissionSeam:
         src = QueueSource(capacity=2)
         feeder = threading.Thread(target=feed_queue, args=(src, chains))
         feeder.start()
-        sim = BatchSimulator([], engine="kernel", backend="fleet",
-                             keep_reports=False)
+        sim = BatchSimulator([], engine="kernel", keep_reports=False)
         got = {}
         for idx, r in sim.run_stream(src, slots=2):
             got[idx] = {"chain": idx, "n": r.initial_n, "rounds": r.rounds,
@@ -376,8 +374,7 @@ class TestAdmissionSeam:
         assert got == stream_reference(chains, slots=2)
 
     def test_constructor_chains_conflict_with_source(self):
-        sim = BatchSimulator([RING8], engine="kernel", backend="fleet",
-                             keep_reports=False)
+        sim = BatchSimulator([RING8], engine="kernel", keep_reports=False)
         with pytest.raises(ValueError, match="admission source"):
             next(iter(sim.run_stream(QueueSource())))
 

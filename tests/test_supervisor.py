@@ -305,14 +305,13 @@ class TestShardedWalRestrictions:
     def test_pool_wal_with_reports_rejected(self):
         from repro.core.batch import BatchSimulator
         sim = BatchSimulator([], engine="kernel", workers=2,
-                             keep_reports=True, backend="fleet")
+                             keep_reports=True)
         with pytest.raises(ValueError):
             list(sim.run_stream(ring_stream(2), slots=2, wal_dir="/tmp/x"))
 
     def test_top_level_resume_single_process_only(self):
         from repro.core.batch import BatchSimulator
-        sim = BatchSimulator([], engine="kernel", workers=2,
-                             backend="fleet")
+        sim = BatchSimulator([], engine="kernel", workers=2)
         with pytest.raises(ValueError):
             list(sim.run_stream(ring_stream(2), slots=2, wal_dir="/tmp/x",
                                 resume=True))

@@ -75,12 +75,12 @@ class TestVerification:
         assert report.complete, f"failures: {report.failures[:3]}"
 
     def test_n10_exhaustive(self):
-        report = verify_all(10, engine="vectorized")
+        report = verify_all(10, engine="reference")
         assert report.complete, f"failures: {report.failures[:3]}"
         assert report.total == 478
 
     def test_limit_sampling(self):
-        report = verify_all(12, limit=50, engine="vectorized")
+        report = verify_all(12, limit=50, engine="reference")
         assert report.total == 50
         assert report.gathered == 50
 

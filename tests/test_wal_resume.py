@@ -240,7 +240,7 @@ class TestBatchWiring:
     def test_batch_resume_roundtrip(self, tmp_path):
         pts = _stream_pts(30, seed=6)
         wal_dir = str(tmp_path / "wal")
-        sim = BatchSimulator([], engine="kernel", backend="fleet")
+        sim = BatchSimulator([], engine="kernel")
         gen = sim.run_stream(iter(pts), slots=6, wal_dir=wal_dir,
                              snapshot_every=4)
         results = {}
@@ -249,11 +249,11 @@ class TestBatchWiring:
             results[ext] = res
         gen.close()
 
-        sim2 = BatchSimulator([], engine="kernel", backend="fleet")
+        sim2 = BatchSimulator([], engine="kernel")
         for ext, res in sim2.run_stream(iter(pts), slots=6, wal_dir=wal_dir,
                                         resume=True):
             results.setdefault(ext, res)
-        clean = dict(BatchSimulator([], engine="kernel", backend="fleet")
+        clean = dict(BatchSimulator([], engine="kernel")
                      .run_stream(iter(pts), slots=6))
         assert sorted(results) == sorted(clean)
         for ext in clean:
@@ -263,12 +263,12 @@ class TestBatchWiring:
         assert "fault_crashed" in stats and "fault_perturbed" in stats
 
     def test_wal_rejects_multiprocess(self, tmp_path):
-        sim = BatchSimulator([], engine="kernel", backend="fleet", workers=2)
+        sim = BatchSimulator([], engine="kernel", workers=2)
         with pytest.raises(ValueError):
             next(sim.run_stream(iter([]), slots=4, wal_dir=str(tmp_path)))
 
     def test_resume_requires_wal_dir(self):
-        sim = BatchSimulator([], engine="kernel", backend="fleet")
+        sim = BatchSimulator([], engine="kernel")
         with pytest.raises(ValueError):
             next(sim.run_stream(iter([]), slots=4, resume=True))
 
@@ -334,10 +334,9 @@ class TestBatchWiring:
     def test_pool_faults_match_inprocess(self):
         pts = _stream_pts(40, seed=12)
         faults = FaultPlan(seed=3, crash=0.15, perturb=0.15)
-        solo = dict(BatchSimulator([], engine="kernel", backend="fleet")
+        solo = dict(BatchSimulator([], engine="kernel")
                     .run_stream(iter(pts), slots=8, faults=faults))
-        pool = dict(BatchSimulator([], engine="kernel", backend="fleet",
-                                   workers=2)
+        pool = dict(BatchSimulator([], engine="kernel", workers=2)
                     .run_stream(iter(pts), slots=8, faults=faults))
         assert sorted(solo) == sorted(pool)
         for ext in solo:
