@@ -12,11 +12,11 @@ death.  Five modes:
     surviving log.
 
 ``worker-kill``
-    Run a supervised multi-worker stream (``--workers --wal``) and
-    SIGKILL individual *pool workers* (found via /proc) at seeded
-    shard-WAL rounds.  The run itself must complete rc=0 with zero
-    lost or duplicated results and per-chain output identical to the
-    unfaulted run's.
+    Run a multi-worker batch stream (``--workers --wal``, the shard
+    tier) and SIGKILL individual *shard workers* (found via /proc) at
+    seeded shard-WAL rounds.  The run itself must complete rc=0 with
+    zero lost or duplicated results and per-chain output identical to
+    the unfaulted run's.
 
 ``service-kill``
     Run ``repro serve --wal``, submit the stream over TCP, SIGKILL the
@@ -31,10 +31,15 @@ death.  Five modes:
     ledger (never abort the stream), and the good chains' results
     must match the clean run's under the index remap.  Then run the
     poisoned stream again under ``--faults seed=<seed>,perturb=0.25``,
-    once with ``--workers 1`` and once on the pool: a planted entry
-    the plan picks for perturbation must still quarantine, both dead
-    letters must hold exactly the planted positions, and both runs
-    must deliver identical survivor rows.
+    once with ``--workers 1`` and once with ``--workers <workers>``: a
+    planted entry the plan picks for perturbation must still
+    quarantine, both dead letters must hold exactly the planted
+    positions, and both runs must deliver identical survivor rows.
+    Last, run the clean stream with ``--workers <workers>`` while one
+    seeded entry kills its shard worker every time it is taken
+    (``REPRO_KILL_SPEC``): the dead letter must hold exactly that
+    entry, as a ``WorkerCrashError`` of stage ``worker``, and every
+    other row must equal the clean run's.
 
 ``shard-kill``
     Run ``repro serve --workers --wal`` (the shard tier, §2.16), submit
@@ -124,7 +129,7 @@ def shard_round(wal_dir: str) -> int:
     except OSError:
         return best
     for name in entries:
-        if name.startswith(("shard-", "solo-")):
+        if name.startswith("shard-"):
             best = max(best, wal_round(os.path.join(wal_dir, name,
                                                     "wal.ndjson")))
     return best
@@ -428,7 +433,7 @@ def mode_service_kill(args, tmp: str, jsonl: str, env: dict) -> int:
 
 
 # ----------------------------------------------------------------------
-# mode: worker-kill (§2.13 supervised pool)
+# mode: worker-kill (§2.13 crash recovery on the shard tier)
 # ----------------------------------------------------------------------
 def mode_worker_kill(args, tmp: str, jsonl: str, env: dict) -> int:
     clean = os.path.join(tmp, "clean.ndjson")
@@ -631,9 +636,9 @@ def mode_poison(args, tmp: str, jsonl: str, env: dict) -> int:
     print(f"[crash-harness] OK: {npoison} poison chains quarantined to the "
           f"dead letter, {len(mapped)} good chains identical to clean run")
 
-    # the same stream under an intake perturb plan: every scheduler
-    # validates a perturb-selected entry before mutating it, so planted
-    # entries still quarantine in-process and on the pool alike
+    # the same stream under an intake perturb plan: both schedulers
+    # validate a perturb-selected entry before mutating it, so planted
+    # entries still quarantine in-process and on the shards alike
     faults = f"seed={args.seed},perturb=0.25"
     survivors = {}
     for workers in (1, args.workers):
@@ -666,6 +671,42 @@ def mode_poison(args, tmp: str, jsonl: str, env: dict) -> int:
     print(f"[crash-harness] OK: under --faults {faults} the planted chains "
           f"quarantined with --workers 1 and --workers {args.workers}, "
           f"{len(survivors[1])} survivor rows identical")
+
+    # a chain that kills its worker every time it is taken (a negative
+    # kill counter never disarms): the shards re-run suspects one at a
+    # time, so only that chain dead-letters and the rest finish
+    killer = rng.randrange(args.chains)
+    counter = os.path.join(tmp, "kill-counter")
+    with open(counter, "w", encoding="utf-8") as fh:
+        fh.write("-1")
+    kill_env = {**env, "REPRO_KILL_SPEC": f"{counter}:{killer}"}
+    out = os.path.join(tmp, "killer.ndjson")
+    dl = os.path.join(tmp, "killer-dead.ndjson")
+    proc = subprocess.run(
+        batch_cmd(jsonl, out, args.slots, wal=None, workers=args.workers,
+                  dead_letter=dl),
+        env=kill_env, capture_output=True, text=True)
+    if proc.returncode not in (0, 2):
+        sys.stderr.write(proc.stderr)
+        print(f"[crash-harness] worker-killer run ABORTED "
+              f"rc={proc.returncode}", file=sys.stderr)
+        return 1
+    dead = [(d.get("chain"), d.get("error"), d.get("stage"))
+            for d in load_ndjson(dl)]
+    if dead != [(killer, "WorkerCrashError", "worker")]:
+        print(f"[crash-harness] worker-killer dead letter mismatch: "
+              f"expected chain {killer} (WorkerCrashError, worker), "
+              f"ledger has {dead}", file=sys.stderr)
+        return 1
+    rows = sorted(load_ndjson(out), key=lambda d: d["chain"])
+    if rows != [d for d in clean_rows if d["chain"] != killer]:
+        print(f"[crash-harness] worker-killer run MISMATCH: "
+              f"{len(rows)} rows against {len(clean_rows) - 1} clean "
+              f"survivors", file=sys.stderr)
+        return 1
+    print(f"[crash-harness] OK: chain {killer} killed its worker on every "
+          f"run and alone was dead-lettered; {len(rows)} other rows "
+          f"identical to the clean run")
     return 0
 
 
@@ -677,8 +718,8 @@ def main(argv=None) -> int:
     ap.add_argument("--chains", type=int, default=120)
     ap.add_argument("--slots", type=int, default=16)
     ap.add_argument("--workers", type=int, default=2,
-                    help="pool width for worker-kill/poison modes, shard "
-                         "count for shard-kill")
+                    help="shard worker count for the worker-kill, "
+                         "poison and shard-kill modes")
     ap.add_argument("--kills", type=int, default=3,
                     help="SIGKILLs (cli-kill/worker-kill) or poison "
                          "chains (poison) to inject")

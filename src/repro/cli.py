@@ -205,8 +205,7 @@ def cmd_batch_stream(args) -> int:
                                           snapshot_every=args.snapshot_every,
                                           faults=faults,
                                           resume=args.resume,
-                                          on_error=on_error,
-                                          max_retries=args.max_retries):
+                                          on_error=on_error):
             if isinstance(result, ChainOutcome) and not result.ok:
                 quarantined += 1
                 dl.write_outcome(result)
@@ -267,9 +266,9 @@ def cmd_batch(args) -> int:
                          "--skip-bad-lines apply to streaming batches; "
                          "add --stream JSONL")
     if args.engine != "kernel" and args.workers and args.workers > 1:
-        raise SystemExit("--workers runs kernel batches on the supervised "
-                         "pool; --engine reference gathers in-process, "
-                         "drop --workers")
+        raise SystemExit("--workers shards kernel batches across worker "
+                         "processes; --engine reference gathers "
+                         "in-process, drop --workers")
     family = FAMILIES.get(args.family)
     if family is None:
         raise SystemExit(f"unknown family {args.family!r}; "
@@ -433,8 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for stochastic families")
     b.add_argument("--engine", choices=ENGINES, default="kernel")
     b.add_argument("--workers", type=int, default=None,
-                   help="process-pool width (default: in-process; kernel "
-                        "batches and --stream run on the supervised pool)")
+                   help="kernel worker processes (default: in-process); "
+                        "kernel batches and --stream shard across K "
+                        "workers fed over pipes")
     b.add_argument("--stream", metavar="JSONL",
                    help="stream chains from a JSONL file of position lists "
                         "('-' reads stdin) through a bounded arena instead "
@@ -447,9 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--wal", metavar="DIR",
                    help="write-ahead-log the stream to DIR (round deltas + "
                         "periodic snapshots) so a killed run can --resume "
-                        "bit-identically; with --workers each worker logs "
-                        "to its own shard-<k>/ sub-WAL and a killed worker "
-                        "resumes from its shard snapshot")
+                        "bit-identically; with --workers each worker "
+                        "writes an effect log to DIR/shard-<k>/ instead, "
+                        "and --resume stays single-process")
     b.add_argument("--resume", action="store_true",
                    help="resume a crashed --wal run: restore the latest "
                         "snapshot, replay the log, skip already-yielded "
@@ -477,11 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quarantine unparseable --stream input lines to "
                         "the --dead-letter ledger (with line numbers) "
                         "instead of aborting; default is strict")
-    b.add_argument("--max-retries", type=int, default=3, dest="max_retries",
-                   metavar="N",
-                   help="re-dispatches granted to a chunk whose worker "
-                        "died before it is bisected down to the poison "
-                        "chain (default 3)")
     b.add_argument("--progress", action="store_true",
                    help="print per-100-chain completion milestones")
     b.add_argument("--max-rounds", type=int, default=None)
@@ -548,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--markdown", action="store_true",
                    help="print the EXPERIMENTS.md body")
     e.add_argument("--workers", type=int, default=None,
-                   help="process-pool width for sweep experiments")
+                   help="kernel worker processes for sweep experiments")
     e.set_defaults(func=cmd_experiment)
 
     f = sub.add_parser("families", help="list chain generator families")

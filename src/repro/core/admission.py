@@ -23,9 +23,10 @@ plus plain (blocking) iteration, so every existing consumer of a chain
 iterable — ``FleetKernel.restore_stream``'s fast-forward — keeps
 working unchanged.  The schedulers detect the protocol by the ``take``
 attribute; plain iterables keep the exact pre-§2.15 code path.  With
-``workers >= 2``, ``BatchSimulator.run_stream`` sends a source to the
-shard tier (:mod:`repro.core.shards`), whose parent pulls from it, and
-a plain iterable to the supervised pool.
+``workers >= 2``, ``BatchSimulator.run_stream`` sends every stream to
+the shard tier (:mod:`repro.core.shards`), whose parent pulls from a
+source the same way and reads a plain iterable as a source that is
+closed from the start.
 
 :class:`QueueSource` is the reference implementation: a bounded,
 thread-safe FIFO whose producer side is fed from another thread (the

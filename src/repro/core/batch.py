@@ -17,8 +17,8 @@ Each engine has one batch path (DESIGN.md §2.10):
   interpreter costs amortise across the whole batch.  With
   ``workers >= 2`` a batch is a stream: :meth:`BatchSimulator.run` is
   :meth:`~BatchSimulator.run_stream` over the batch with one slot per
-  chain, collected in input order, so batches get the supervised
-  pool's crash recovery.
+  chain, collected in input order, so batches run on the shard tier
+  and get its crash recovery.
 * ``engine="reference"`` — the chains gather one after another,
   in-process, through :class:`~repro.core.simulator.Simulator`; the
   executable specification takes no ``workers``.
@@ -29,13 +29,11 @@ one-shot to pipeline: :meth:`BatchSimulator.run_stream` /
 at a bounded slot occupancy — retired slots are reclaimed for the
 next admissions — and yield ``(index, result)`` pairs as chains
 finish, so a million-chain sweep runs in constant memory.  With
-``workers >= 2`` the input picks the multi-process path: a finite
-iterable shards round-robin across the supervised process pool
-(:mod:`repro.core.supervisor`, DESIGN.md §2.13), dead workers
-respawned and their chunks re-dispatched; a live admission source
-(:mod:`repro.core.admission` — the service's queue) goes to the shard
-tier (:mod:`repro.core.shards`, §2.16), K long-lived kernel workers
-fed over pipes.  Per-chain results are bit-identical to
+``workers >= 2`` every stream — a finite iterable or a live admission
+source (:mod:`repro.core.admission`, the service's queue) — runs on
+the shard tier (:mod:`repro.core.shards`, DESIGN.md §2.16): K
+long-lived kernel workers fed over pipes, dead workers respawned and
+their chains re-fed.  Per-chain results are bit-identical to
 :func:`gather_batch` on every path.
 
 See DESIGN.md §3 for how this layer relates to the single-chain
@@ -125,9 +123,9 @@ class BatchSimulator:
         Per-round invariant checking for every simulation (slow).
     workers:
         Process count.  ``None`` or ``1`` runs in-process; ``>= 2``
-        streams a kernel batch or any finite iterable through the
-        supervised pool and an admission source through the shard
-        tier.  A reference batch takes no workers (``ValueError``).
+        streams a kernel batch, a finite iterable or an admission
+        source through the shard tier.  A reference batch takes no
+        workers (``ValueError``).
     keep_reports:
         Keep per-round :class:`RoundReport` lists on each result.  Turn
         off for large sweeps that only need aggregate outcomes (and to
@@ -159,8 +157,8 @@ class BatchSimulator:
             raise ValueError("workers must be >= 1")
         if engine != "kernel" and workers is not None and workers > 1:
             raise ValueError(
-                f"engine {engine!r} gathers in-process; workers run "
-                "kernel batches on the supervised pool")
+                f"engine {engine!r} gathers in-process; workers shard "
+                "kernel batches across processes")
         self.positions: List[List[tuple]] = [self._as_positions(c)
                                              for c in chains]
         self.params = params
@@ -172,7 +170,7 @@ class BatchSimulator:
         #: occupancy telemetry of the last exhausted :meth:`run_stream`
         self.last_stream_stats: Optional[Dict[str, int]] = None
         #: the live in-process kernel of a running :meth:`run_stream`
-        #: (None before the stream starts and on the pool path) — the
+        #: (None before the stream starts and on the shards) — the
         #: service tier reads occupancy/topology telemetry off it for
         #: ``status`` frames (§2.15); reads are racy-but-monotone
         #: scalars, fine for metrics, not for control flow
@@ -231,9 +229,7 @@ class BatchSimulator:
                    snapshot_every: int = 512,
                    faults=None,
                    resume: bool = False,
-                   on_error: str = "raise",
-                   max_retries: int = 3,
-                   backoff: float = 0.05
+                   on_error: str = "raise"
                    ) -> Iterator[Tuple[int, GatheringResult]]:
         """Stream chains through a bounded arena; yield as they finish.
 
@@ -248,18 +244,16 @@ class BatchSimulator:
         Per-chain results are bit-identical to :meth:`run` /
         :func:`gather_batch` on the same inputs.
 
-        ``workers >= 2`` runs ``slots // workers`` slots in each of
-        ``workers`` kernel processes, on the path the input calls for.
-        A finite iterable shards round-robin across the supervised
-        pool — chain ``i`` goes to worker ``i % workers`` — with at
-        most one in-flight chunk per worker plus one filling buffer,
-        so the pipeline stays bounded end-to-end.  An admission source
-        (§2.15) goes to the shard tier (§2.16): K long-lived workers
-        fed over pipes, each entry placed on the least-loaded shard,
-        with per-shard occupancy in :attr:`last_stream_stats`
-        (``per_shard``) while the stream runs.  After exhaustion,
-        :attr:`last_stream_stats` holds the occupancy telemetry (peak
-        live chains / cells, admission and compaction counts).
+        ``workers >= 2`` runs the stream on the shard tier (§2.16):
+        ``min(workers, slots)`` long-lived kernel processes with
+        ``slots // workers`` slots each, fed over pipes, each entry
+        placed on the least-loaded shard, with per-shard occupancy in
+        :attr:`last_stream_stats` (``per_shard``) while the stream
+        runs.  A finite iterable is a source that is closed from the
+        start; an admission source (§2.15) stays open until closed.
+        After exhaustion, :attr:`last_stream_stats` holds the
+        occupancy telemetry (peak live chains / cells, admission and
+        compaction counts).
 
         Streaming executes on the fleet kernel only (the reference
         engine has no shared arena to bound).
@@ -272,21 +266,19 @@ class BatchSimulator:
         ``faults`` (a :class:`repro.core.faults.FaultPlan`) degrades
         the stream deterministically at intake on either worker
         topology, and mid-run (robot crash/restart) on either as well.
-        With workers, ``wal_dir`` shards: each worker logs to
-        ``wal_dir/shard-<k>/`` — a killed pool worker resumes from its
-        own snapshot (supervision tier, §2.13), a respawned shard
-        worker replays its re-fed chains into a fresh effect log;
-        top-level ``resume=True`` stays in-process only.
+        With workers, ``wal_dir`` shards: each worker writes an effect
+        log to ``wal_dir/shard-<k>/`` and a respawned worker replays
+        its re-fed chains into a fresh one; top-level ``resume=True``
+        stays in-process only.
 
-        Supervision (§2.13): both multi-process paths survive worker
-        deaths — lost pool chunks re-dispatch with bounded retry
-        (``max_retries``) and exponential ``backoff``, a dead shard
-        worker respawns and replays its in-flight chains.
+        Supervision (§2.13): a dead shard worker respawns and replays
+        its in-flight chains one at a time, so a chain that keeps
+        killing its worker is convicted alone.
         ``on_error="quarantine"`` additionally turns per-chain
-        failures (poisoned inputs, invariant violations, chains that
-        exhaust worker retries) into yielded
+        failures (poisoned inputs, invariant violations, convicted
+        worker killers) into yielded
         :class:`~repro.core.results.ChainOutcome` error records;
-        the strict default re-raises them (retry exhaustion as
+        the strict default re-raises them (a worker killer as
         :class:`~repro.errors.WorkerCrashError`).  Injected mid-run
         fault *crashes* always yield ``ChainOutcome`` records — they
         are planned degradations, not errors.
@@ -301,17 +293,11 @@ class BatchSimulator:
             raise ValueError("resume=True needs wal_dir")
         if resume and self.workers > 1:
             raise ValueError(
-                "top-level resume is single-process (shard WALs already "
-                "recover crashed workers under a live parent); set "
-                "workers=1 to resume a killed run")
-        if wal_dir is not None and self.workers > 1 and self.keep_reports:
-            raise ValueError(
-                "sharded WAL streaming cannot keep per-round reports "
-                "(the shard results ledger archives scalar outcomes); "
-                "set keep_reports=False")
+                "top-level resume is single-process (shard WALs are "
+                "effect logs, never resumed); set workers=1 to resume a "
+                "killed run")
         from repro.core.admission import is_admission_source
-        source = is_admission_source(chains)
-        if source:
+        if is_admission_source(chains):
             # admission-source protocol (§2.15): hand the source
             # through untouched so the kernel's pull loop sees its
             # ``take`` — wrapping it in itertools.chain would demote
@@ -330,14 +316,10 @@ class BatchSimulator:
                                               progress, wal_dir,
                                               snapshot_every, faults, resume,
                                               on_error)
-        elif source:
+        else:
             yield from self._stream_shards(stream, slots, max_rounds,
                                            progress, faults, wal_dir,
                                            snapshot_every, on_error)
-        else:
-            yield from self._stream_pool(stream, slots, max_rounds, progress,
-                                         faults, wal_dir, snapshot_every,
-                                         on_error, max_retries, backoff)
 
     def _stream_inprocess(self, stream, slots, max_rounds, progress,
                           wal_dir=None, snapshot_every=512, faults=None,
@@ -394,30 +376,7 @@ class BatchSimulator:
             if elapsed > 0 else 0.0,
         }
 
-    def _stream_pool(self, stream, slots, max_rounds, progress, faults=None,
-                     wal_dir=None, snapshot_every=512, on_error="raise",
-                     max_retries=3, backoff=0.05):
-        # the supervised pool engine (§2.13): shard-per-worker chunks,
-        # crash recovery with bounded retry, poison isolation, and —
-        # with wal_dir — per-shard WALs + results ledgers
-        from repro.core.supervisor import pool_stream
-        workers = min(self.workers, slots)
-        stats: Dict[str, int] = {"workers": workers,
-                                 "slots_per_worker": slots // workers}
-        yield from pool_stream(stream, params=self.params, workers=workers,
-                               slots=slots, max_rounds=max_rounds,
-                               check_invariants=self.check_invariants,
-                               keep_reports=self.keep_reports,
-                               validate_initial=self.validate_initial,
-                               faults=faults, wal_dir=wal_dir,
-                               snapshot_every=snapshot_every,
-                               on_error=on_error, max_retries=max_retries,
-                               backoff=backoff, progress=progress,
-                               stats=stats,
-                               as_positions=self._as_positions)
-        self.last_stream_stats = stats
-
-    def _stream_shards(self, source, slots, max_rounds, progress,
+    def _stream_shards(self, stream, slots, max_rounds, progress,
                        faults=None, wal_dir=None, snapshot_every=512,
                        on_error="raise"):
         # the shard tier (§2.16): K long-lived kernel workers fed over
@@ -428,7 +387,7 @@ class BatchSimulator:
         stats: Dict[str, object] = {}
         self.last_stream_stats = stats
         self.stream_kernel = None      # kernels live in the shard workers
-        yield from shard_stream(source, params=self.params,
+        yield from shard_stream(stream, params=self.params,
                                 workers=self.workers, slots=slots,
                                 max_rounds=max_rounds,
                                 check_invariants=self.check_invariants,
@@ -487,23 +446,21 @@ def gather_stream(chains: Iterable,
                   snapshot_every: int = 512,
                   faults=None,
                   resume: bool = False,
-                  on_error: str = "raise",
-                  max_retries: int = 3,
-                  backoff: float = 0.05
+                  on_error: str = "raise"
                   ) -> Iterator[Tuple[int, GatheringResult]]:
     """Stream a chain iterator through a bounded fleet (convenience API).
 
     Generator form of :func:`gather_batch` for workloads that do not
     fit — or should not sit — in memory at once: ``chains`` is
     consumed lazily, at most ``slots`` chains are resident in total
-    (split ``slots // workers`` per worker kernel under a pool), and
+    (split ``slots // workers`` per worker kernel on the shards), and
     ``(index, result)`` pairs yield as chains finish.
     Kernel engine only (that is where the shared arena lives);
     per-chain results are bit-identical to
     :func:`gather_batch` on the same inputs.  ``wal_dir`` /
     ``snapshot_every`` / ``faults`` / ``resume`` pass through to
     :meth:`BatchSimulator.run_stream` (durability tier, §2.12), which
-    also picks the multi-process path from ``chains``.
+    runs ``workers >= 2`` on the shard tier (§2.16).
     """
     sim = BatchSimulator([], params=params, engine="kernel",
                          check_invariants=check_invariants,
@@ -512,8 +469,7 @@ def gather_stream(chains: Iterable,
     return sim.run_stream(chains, slots=slots, max_rounds=max_rounds,
                           progress=progress, wal_dir=wal_dir,
                           snapshot_every=snapshot_every, faults=faults,
-                          resume=resume, on_error=on_error,
-                          max_retries=max_retries, backoff=backoff)
+                          resume=resume, on_error=on_error)
 
 
 def gather_batch(chains: Sequence[Union[ClosedChain, Sequence[tuple]]],

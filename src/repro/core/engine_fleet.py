@@ -109,9 +109,9 @@ def intake_fault(faults, idx: int, entry, validate: bool, quarantine: bool,
                  stats: Dict[str, int]) -> Tuple[Optional[str], object]:
     """Apply a fault plan's intake decision to stream entry ``idx``.
 
-    The one intake-fault policy of every scheduler — the in-process
-    pull loop, the shard scheduler and the supervised pool call it at
-    pull time, under the consumed index.  Returns ``(kind, entry)``:
+    The one intake-fault policy of both schedulers — the in-process
+    pull loop and the shard scheduler call it at pull time, under the
+    consumed index.  Returns ``(kind, entry)``:
     ``kind`` is ``None`` (admit ``entry`` untouched), ``"crash"``
     (drop it; the index stays consumed), ``"perturb"`` (admit the
     returned mutated positions) or ``"quarantine"`` (``entry`` is the
@@ -589,9 +589,9 @@ class FleetKernel:
         #: at round boundaries, persisted in snapshots (a fired fault
         #: must not re-fire after resume).
         self._mid_faults: Dict[int, Tuple[str, int]] = {}
-        #: external-index override for sharded pool chunks: when set,
+        #: external-index override for shard workers: when set,
         #: admissions consume global stream indices from this list
-        #: instead of the local counter (supervision tier, §2.13)
+        #: instead of the local counter (shard tier, §2.16)
         self._ext_list: Optional[List[int]] = None
         self._ext_pos = 0
         #: active WAL writer and the round record under construction
@@ -802,8 +802,9 @@ class FleetKernel:
         ``gather_batch`` / ``Simulator(engine="kernel")`` on the same
         inputs.  ``release`` drops the kernel's own reference to each
         yielded chain and its reports (bounded-memory sweeps);
-        ``progress`` is called as ``progress(done, total)`` with
-        ``total == -1`` while the stream end is unknown.
+        ``progress`` is called as ``progress(done, total)`` after every
+        scheduling pass that delivered anything, with ``total == -1``
+        while the stream end is unknown.
 
         Durability (§2.12): ``wal`` — a :class:`repro.io.wal.WalWriter`
         — logs every round's effects and every admission/retire/yield,
@@ -826,7 +827,7 @@ class FleetKernel:
         instead of stream-aborting exceptions; mid-run fault crashes
         are always yielded that way.  ``ext_indices`` maps this
         kernel's admissions onto caller-chosen global stream indices
-        (the multi-process paths — each worker's kernel sees only its
+        (the shard workers, §2.16 — each worker's kernel sees only its
         share but logs, yields and fault-decides under global
         indices).  The list is read as the stream runs, not copied, so
         a caller feeding a live source may extend it as entries arrive.
@@ -838,7 +839,7 @@ class FleetKernel:
         if on_error not in ("raise", "quarantine"):
             raise ValueError("on_error must be 'raise' or 'quarantine'")
         quarantine = on_error == "quarantine"
-        if ext_indices is not None and _resume is None:
+        if ext_indices is not None:
             self._ext_list = ext_indices
             self._ext_pos = 0
         arena = self.arena
@@ -919,6 +920,7 @@ class FleetKernel:
         if wal is not None:
             snap()                         # baseline (or resume re-base)
         last_snap_round = self.round_index
+        reported = done                    # ``done`` at the last progress
         while True:
             # --- between-round scheduling --------------------------------
             # one retire pass over the stepped fleet, then a top-up /
@@ -926,7 +928,6 @@ class FleetKernel:
             # chain that is already gathered — or has a zero budget —
             # retires at local round 0 without ever stepping, exactly
             # as its own simulator would)
-            retired = False
             live = arena.live_indices()
             if len(live):
                 live_ids, gathered = arena.gathered_mask()
@@ -937,14 +938,12 @@ class FleetKernel:
                                                if max_rounds is None
                                                else max_rounds))
                 if retire.any():
-                    retired = True
                     yield from emit(self._retire_batch(
                         live_ids[retire], gathered[retire], t0,
                         release=release))
             if self._mid_faults:
                 pairs = self._apply_mid_faults()
                 if pairs:
-                    retired = True
                     yield from emit(pairs)
             starved = False
             while True:
@@ -1028,11 +1027,13 @@ class FleetKernel:
                     retire = gathered | np.full(len(cis), max_rounds <= 0)
                 if not retire.any():
                     break
-                retired = True
                 yield from emit(self._retire_batch(cis[retire],
                                                    gathered[retire], t0,
                                                    release=release))
-            if retired and progress is not None:
+            # after every pass that delivered anything: an admit-stage
+            # quarantine must not wait for an unrelated retirement
+            if progress is not None and done != reported:
+                reported = done
                 progress(done, self._submitted if exhausted else -1)
             if wal is not None \
                     and self.round_index - last_snap_round >= snapshot_every:
@@ -1072,8 +1073,7 @@ class FleetKernel:
     @classmethod
     def restore_stream(cls, wal_dir: str,
                        chains: Union[Sequence, object] = (),
-                       progress: Optional[Callable[[int, int], None]] = None,
-                       ext_indices: Optional[Sequence[int]] = None
+                       progress: Optional[Callable[[int, int], None]] = None
                        ) -> Tuple["FleetKernel", object]:
         """Rebuild a crashed stream from its WAL directory.
 
@@ -1112,9 +1112,6 @@ class FleetKernel:
                       r=kernel.round_index)
         fd = start.get("faults")
         faults = FaultPlan.from_doc(fd) if fd else None
-        if ext_indices is not None:
-            kernel._ext_list = [int(x) for x in ext_indices]
-            kernel._ext_pos = consumed
         mr = stream["max_rounds"]
         gen = kernel.run_stream(
             it, slots=stream["slots"],

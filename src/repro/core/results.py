@@ -64,7 +64,8 @@ class ChainOutcome:
     (``ChainError``, ``InvariantViolation``, ``WorkerCrashError``, or
     the injected ``FaultCrash``), ``stage`` says where it was caught
     (``admit``, ``round``, ``worker``, ``intake``), and ``retries``
-    counts re-dispatch attempts for worker-crash quarantines.
+    counts the solo worker deaths that convicted a ``worker``-stage
+    quarantine.
     """
 
     index: int
@@ -90,7 +91,7 @@ class ChainOutcome:
             index=self.index, stage=self.stage)
 
     def to_doc(self) -> dict:
-        """JSON-ready form (dead-letter ledger / shard results ledger)."""
+        """JSON-ready form (dead-letter ledger / service frames)."""
         doc = {"kind": "chain", "chain": self.index,
                "quarantined": self.quarantined}
         if self.error is not None:

@@ -1,8 +1,11 @@
-"""The shard tier: one live admission source, K kernel worker processes.
+"""The shard tier: every multi-process stream, K kernel worker processes.
 
-DESIGN.md §2.16.  :meth:`BatchSimulator.run_stream` sends an admission
-source (the service's queue, §2.15) here when ``workers >= 2`` — that
-is ``repro serve --workers K``.  In the paper's model a robot sees only
+DESIGN.md §2.16.  :meth:`BatchSimulator.run_stream` sends every stream
+here when ``workers >= 2``: a live admission source (the service's
+queue, §2.15, that is ``repro serve --workers K``) and a finite
+iterable alike (every multi-process ``run()`` batch and ``repro batch
+--workers K``).  A plain iterable is read with ``next()`` as a source
+that is closed from the start.  In the paper's model a robot sees only
 its own chain, so chains never interact and K workers share no state:
 each steps a streaming :class:`~repro.core.engine_fleet.FleetKernel` of
 its own and the parent only routes.
@@ -10,28 +13,25 @@ its own and the parent only routes.
 * **Pipes.**  The parent pulls intake bursts from the source, decides
   intake faults under the consumed stream index, places each entry on
   the shard with the fewest chains in flight and sends ``(stream
-  index, positions)`` bursts down that worker's control pipe.  The
+  index, payload)`` bursts down that worker's control pipe.  The
   worker kernel admits them through the ordinary batched intake (parse,
-  validate, quarantine) under the global indices (``ext_indices``) and
-  sends every yielded ``(index, payload)`` back up its result pipe.  A
-  served chain is a few KB next to a multi-millisecond gather, so plain
-  pickling is all the transport needs.  A reader thread in the worker
-  drains the control pipe, so neither side's blocking send can wait on
-  the other's.
-* **Respawn.**  The parent keeps each shard's in-flight entries in
-  admission order.  A dead worker is respawned with fresh pipes and
-  those entries are re-fed in that order; replay from round 0 is
-  deterministic, so results stay bit-identical.  A shard that keeps
-  dying without delivering anything quarantines its residents
+  validate, quarantine) under the global indices and sends the pairs
+  it yields back up its result pipe, one message per scheduling pass.
+  A reader thread in the worker drains the control pipe, so neither
+  side's blocking send can wait on the other's.
+* **Respawn and attribution.**  The parent keeps each shard's
+  in-flight entries in admission order.  A dead worker is respawned
+  with fresh pipes and those entries become *suspects*, re-fed one at
+  a time in admission order while the other shards keep admitting;
+  replay from round 0 is deterministic, so results stay bit-identical.
+  A death with exactly one entry in flight is a strike against that
+  entry, and the strike after :data:`_MAX_STRIKES` quarantines it
   (``on_error="quarantine"``) or raises
   :class:`~repro.errors.WorkerCrashError`.
 * **Teardown.**  Workers close their inherited copies of sibling pipe
   ends and watch their parent's pid, so the workers of a SIGKILLed
   parent drain and exit; the generator's ``finally`` stops them on any
   exit, abandonment included.
-
-Finite batches take the supervised pool instead (§2.13), which bisects
-poison chains and resumes per-chunk WALs.
 """
 
 from __future__ import annotations
@@ -42,20 +42,67 @@ import threading
 import time
 import traceback
 from collections import deque
+from dataclasses import replace
 from multiprocessing import connection, get_context
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.core.admission import Starved
+from repro.core.admission import Starved, is_admission_source
 from repro.core.config import DEFAULT_PARAMETERS, Parameters
 from repro.core.engine_fleet import FleetKernel, intake_fault
 from repro.core.faults import FaultPlan
 from repro.core.results import ChainOutcome
-from repro.core.supervisor import _maybe_test_kill, mid_run_faults_doc
 from repro.errors import WorkerCrashError
 
-#: consecutive no-progress worker deaths a shard survives; the next one
-#: quarantines its residents (or aborts the stream)
-_MAX_BARREN = 2
+#: solo worker deaths (one entry in flight) an entry survives; the next
+#: one convicts it as the killer.  A death from outside lands on
+#: whichever entry happens to run alone, so a lower cap risks
+#: convicting an innocent chain (DESIGN.md §2.13).
+_MAX_STRIKES = 5
+
+#: Env hook for deterministic worker-kill injection (tests and the
+#: crash harness): ``<counter-file>:<idx>[,<idx>...]`` — a worker that
+#: takes a listed stream index SIGKILLs itself, decrementing the
+#: counter file first; at zero the hook disarms (a negative count
+#: never disarms: a poison chain that always kills).
+KILL_SPEC_ENV = "REPRO_KILL_SPEC"
+
+
+def _maybe_test_kill(ext: int) -> None:
+    """Fault-injection hook: die by SIGKILL if armed for stream index
+    ``ext``."""
+    spec = os.environ.get(KILL_SPEC_ENV)
+    if not spec:
+        return
+    path, _, idx_part = spec.partition(":")
+    if ext not in {int(x) for x in idx_part.split(",") if x}:
+        return
+    import fcntl
+    import signal
+    with open(path, "r+", encoding="utf-8") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        count = int(fh.read().strip() or 0)
+        if count == 0:
+            return
+        if count > 0:
+            fh.seek(0)
+            fh.truncate()
+            fh.write(str(count - 1))
+            fh.flush()
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def mid_run_faults_doc(faults) -> Optional[dict]:
+    """The mid-run half of a fault plan, as a doc for worker kernels.
+
+    Intake decisions need the global enumeration, so the parent
+    scheduler makes them before sharding; a worker keeps only the
+    mid-run faults, decided under the global indices it is fed.
+    ``None`` when the plan has no mid-run half.
+    """
+    if faults is None or (faults.mid_crash <= 0.0
+                          and faults.mid_restart <= 0.0):
+        return None
+    return replace(faults, crash=0.0, perturb=0.0).to_doc()
 
 
 # ----------------------------------------------------------------------
@@ -70,10 +117,13 @@ class _PipeSource:
     payload)`` entries.  ``("c",)`` closes the source (``StopIteration``
     once drained), and so does a vanished parent, so orphaned workers
     drain and exit.  ``exts`` lists the stream index of every taken
-    entry — the worker kernel's ``ext_indices``, read one per take."""
+    entry — the worker kernel's ``ext_indices``, read one per take.
+    ``flush`` runs before a blocking take, so results never wait in
+    the worker while it parks."""
 
-    def __init__(self, conn) -> None:
+    def __init__(self, conn, flush) -> None:
         self._conn = conn
+        self._flush = flush
         self._buf: deque = deque()
         self._closed = False
         self._ready = threading.Condition()
@@ -112,6 +162,8 @@ class _PipeSource:
                 self._ready.notify()
 
     def take(self, block: bool = False, timeout: Optional[float] = None):
+        if block:
+            self._flush()
         with self._ready:
             if block:
                 self._ready.wait_for(lambda: self._buf or self._closed,
@@ -121,10 +173,10 @@ class _PipeSource:
                     raise StopIteration
                 raise Starved
             ext, payload = self._buf.popleft()
-        # fault-matrix hook (same env spec as the pool tier): die by
-        # SIGKILL when armed for this stream index — at take time, so
-        # the chain is mid-admission when the shard dies
-        _maybe_test_kill([ext])
+        # fault-matrix hook: die by SIGKILL when armed for this stream
+        # index — at take time, so the chain is mid-admission when the
+        # shard dies
+        _maybe_test_kill(ext)
         self.exts.append(ext)
         return payload
 
@@ -133,9 +185,12 @@ def _shard_worker_main(cfg: dict, ctl, res) -> None:
     """One shard worker: the ordinary streaming kernel over the pipes.
 
     Same scheduler, WAL records and mid-run fault machinery as the
-    in-process stream, fed by :class:`_PipeSource`; every yielded pair
-    goes back as ``("r", index, payload)``, the final kernel stats as
-    ``("x", stats)`` and a failure as ``("e", exception, traceback)``.
+    in-process stream, fed by :class:`_PipeSource`.  The pairs a
+    scheduling pass yields go back as one ``("r", [(index, payload),
+    ...])`` message — sent from the kernel's ``progress`` callback,
+    before a blocking take and at stream end — the final kernel stats
+    as ``("x", stats)`` and a failure as ``("e", exception,
+    traceback)``.
     """
     wal = None
     for c in cfg.pop("fork_close", ()):
@@ -148,14 +203,22 @@ def _shard_worker_main(cfg: dict, ctl, res) -> None:
         if cfg["wal_dir"] is not None:
             from repro.io.wal import WalWriter
             wal = WalWriter(os.path.join(cfg["wal_dir"], cfg["wal_name"]))
-        src = _PipeSource(ctl)
+        out: List[Tuple[int, object]] = []
+
+        def flush(*_) -> None:
+            if out:
+                res.send(("r", out))     # pickled here: safe to clear
+                out.clear()
+
+        src = _PipeSource(ctl, flush)
         faults = FaultPlan.from_doc(cfg["faults"]) if cfg["faults"] else None
-        for ext, payload in kernel.run_stream(
+        for pair in kernel.run_stream(
                 src, slots=cfg["slots"], max_rounds=cfg["max_rounds"],
-                release=True, wal=wal, snapshot_every=cfg["snapshot_every"],
-                faults=faults, on_error=cfg["on_error"],
-                ext_indices=src.exts):
-            res.send(("r", ext, payload))
+                progress=flush, release=True, wal=wal,
+                snapshot_every=cfg["snapshot_every"], faults=faults,
+                on_error=cfg["on_error"], ext_indices=src.exts):
+            out.append(pair)
+        flush()
         stats = dict(kernel.stream_stats)
         stats["rounds"] = int(kernel.round_index)
         stats["peak_live_chains"] = int(kernel.arena.peak_live)
@@ -185,9 +248,8 @@ def _shard_worker_main(cfg: dict, ctl, res) -> None:
 class _Shard:
     """Parent-side state of one shard: process, pipes, in-flight table."""
 
-    __slots__ = ("k", "proc", "ctl", "res", "inflight", "completed",
-                 "since_spawn", "respawns", "barren", "closed_sent", "done",
-                 "stats")
+    __slots__ = ("k", "proc", "ctl", "res", "inflight", "suspects",
+                 "completed", "respawns", "closed_sent", "done", "stats")
 
     def __init__(self, k: int):
         self.k = k
@@ -197,10 +259,12 @@ class _Shard:
         #: index -> payload; dict order == admission order, which is the
         #: deterministic re-feed order on respawn
         self.inflight: Dict[int, object] = {}
+        #: ``(index, payload)`` in flight at a worker death, unresolved;
+        #: the head runs alone, and the shard takes no new entries and
+        #: no close message until the queue is empty
+        self.suspects: deque = deque()
         self.completed = 0
-        self.since_spawn = 0
         self.respawns = 0
-        self.barren = 0
         self.closed_sent = False
         self.done = False
         self.stats: Optional[dict] = None
@@ -221,23 +285,24 @@ def shard_stream(source, *,
                  progress=None,
                  stats: Optional[dict] = None,
                  ) -> Iterator[Tuple[int, object]]:
-    """The shard scheduler: pump an admission source through K workers.
+    """The shard scheduler: pump a source or an iterable through K workers.
 
     Mirrors the in-process scheduler's intake discipline — pull bursts
-    up to the free slot budget (``slots // workers`` per shard),
-    blocking only when nothing is in flight anywhere, and decide intake
-    faults at pull time under the consumed index — then routes each
-    entry to the least-loaded shard.  Yields ``(index, payload)`` pairs
-    in completion order; per index they are bit-identical to the
+    up to the free slot budget (``slots // workers`` per shard, with
+    never more shards than ``slots``), blocking only when nothing is in
+    flight anywhere, and decide intake faults at pull time under the
+    consumed index — then routes each entry to the least-loaded shard
+    that has no suspects.  Yields ``(index, payload)`` pairs in
+    completion order; per index they are bit-identical to the
     in-process stream.  ``stats`` (when given) is updated live, so a
     service can read per-shard occupancy mid-stream.
     """
     if on_error not in ("raise", "quarantine"):
         raise ValueError("on_error must be 'raise' or 'quarantine'")
     quarantine = on_error == "quarantine"
-    workers = max(1, int(workers))
+    # slots caps the total residency: one slot per shard at the least
+    workers = max(1, min(int(workers), int(slots)))
     slots_per = max(1, int(slots) // workers)
-    capacity = workers * slots_per
     if stats is None:
         stats = {}
     stats.update({
@@ -252,10 +317,19 @@ def shard_stream(source, *,
     if wal_dir is not None:
         os.makedirs(wal_dir, exist_ok=True)
 
+    if is_admission_source(source):
+        take = source.take
+    else:
+        # a finite iterable is a source that is closed from the start
+        it = iter(source)
+
+        def take(block: bool = False):
+            return next(it)
+
     ctx = get_context()
-    take = source.take
     worker_faults = mid_run_faults_doc(faults)
     shards = [_Shard(k) for k in range(workers)]
+    strikes: Dict[int, int] = {}    # stream index -> solo worker deaths
     submitted = 0               # stream indices consumed
     delivered = 0               # results yielded
     exhausted = False
@@ -263,6 +337,11 @@ def shard_stream(source, *,
 
     def total_inflight() -> int:
         return sum(len(s.inflight) for s in shards)
+
+    def free_slots() -> int:
+        """Room on the shards that take new entries (no suspects)."""
+        return sum(slots_per - len(s.inflight) for s in shards
+                   if not s.suspects)
 
     def refresh_shard_stats() -> None:
         dt = time.perf_counter() - t0
@@ -319,7 +398,7 @@ def shard_stream(source, *,
         ctl_r.close()
         res_w.close()
         s.proc, s.ctl, s.res = proc, ctl_w, res_r
-        s.since_spawn = 0
+        s.closed_sent = False
         s.done = False
         s.stats = None
 
@@ -331,7 +410,7 @@ def shard_stream(source, *,
         nonlocal submitted, exhausted
         pulled: List[Tuple[int, object]] = []
         early: List[Tuple[int, ChainOutcome]] = []
-        free = capacity - total_inflight()
+        free = free_slots()
         while len(pulled) < free:
             try:
                 nxt = take(block=(not pulled and not early
@@ -356,27 +435,49 @@ def shard_stream(source, *,
         return pulled, early
 
     def place(pulled) -> None:
-        """Least-loaded placement (chains in flight, lowest shard on
-        ties); one control-pipe burst per shard."""
+        """Least-loaded placement over the shards without suspects
+        (chains in flight, lowest shard on ties); one control-pipe
+        burst per shard."""
+        open_ = [s for s in shards if not s.suspects]
         bursts: Dict[int, list] = {}
         for idx, payload in pulled:
-            s = min(shards, key=lambda s: len(s.inflight))
+            s = min(open_, key=lambda s: len(s.inflight))
             s.inflight[idx] = payload
             bursts.setdefault(s.k, []).append((idx, payload))
         for k, burst in bursts.items():
             send(shards[k], ("a", burst))
         stats["admitted"] += len(pulled)
 
+    def feed(s: _Shard) -> None:
+        """Run the head suspect alone once nothing else is in flight."""
+        if s.suspects and not s.inflight:
+            idx, payload = s.suspects[0]
+            s.inflight[idx] = payload
+            send(s, ("a", [(idx, payload)]))
+
     def receive(s: _Shard):
-        """Drain one result pipe; returns ``(pairs, crashed)``."""
+        """Read one message from a running worker, and every message
+        left in the pipe of one that has exited; returns ``(pairs,
+        crashed)``."""
         out = []
         failure = None
         try:
-            while failure is None and s.res.poll(0):
+            while True:
+                alive = s.proc.is_alive()
+                if not alive and not s.res.poll(0):
+                    return out, True
                 msg = s.res.recv()
-                if msg[0] == "r":
-                    idx, payload = msg[1], msg[2]
+                if msg[0] == "x":
+                    s.stats = msg[1]
+                    s.done = True
+                    break
+                if msg[0] != "r":
+                    failure = msg
+                    break
+                for idx, payload in msg[1]:
                     s.inflight.pop(idx, None)
+                    if s.suspects and s.suspects[0][0] == idx:
+                        s.suspects.popleft()
                     if isinstance(payload, ChainOutcome):
                         if payload.stage == "fault":
                             stats["mid_crashed"] += 1
@@ -385,13 +486,9 @@ def shard_stream(source, *,
                             if payload.stage == "admit":
                                 stats["admitted"] -= 1
                     s.completed += 1
-                    s.since_spawn += 1
                     out.append((idx, payload))
-                elif msg[0] == "x":
-                    s.stats = msg[1]
-                    s.done = True
-                else:
-                    failure = msg
+                if alive:
+                    break
         except (EOFError, OSError):
             return out, True
         if failure is not None:
@@ -401,42 +498,45 @@ def shard_stream(source, *,
             raise WorkerCrashError(
                 f"shard {s.k} failed:\n{failure[2]}", worker=s.k,
                 indices=list(s.inflight))
+        feed(s)
         return out, False
 
     def respawn(s: _Shard):
-        """Crash recovery: respawn the worker, re-feed its in-flight
-        entries in admission order (deterministic replay from round 0)."""
+        """Crash recovery: strike a lone in-flight entry (convicting it
+        on the strike after ``_MAX_STRIKES``), make the rest suspects,
+        respawn the worker and re-feed the head suspect."""
         out = []
         s.proc.join(timeout=5.0)
         s.ctl.close()
         s.res.close()
-        s.barren = s.barren + 1 if s.since_spawn == 0 else 0
-        if s.barren > _MAX_BARREN and s.inflight:
-            # crash-looping without progress: the residents are the
-            # suspects.  Quarantine them (supervised mode) or abort.
-            idxs = list(s.inflight)
-            if not quarantine:
-                s.done = True
-                raise WorkerCrashError(
-                    f"shard {s.k} died {s.barren} times without "
-                    f"progress; in-flight chains {idxs}",
-                    worker=s.k, indices=idxs)
-            for idx in idxs:
+        if len(s.inflight) == 1:
+            (idx, _), = s.inflight.items()
+            strikes[idx] = strikes.get(idx, 0) + 1
+            if strikes[idx] > _MAX_STRIKES:
+                msg = (f"chain {idx} killed shard worker {s.k} each time "
+                       f"it ran alone ({strikes[idx]} deaths)")
+                if not quarantine:
+                    s.done = True
+                    raise WorkerCrashError(msg, worker=s.k, indices=[idx],
+                                           retries=strikes[idx])
+                s.inflight.clear()
+                if s.suspects and s.suspects[0][0] == idx:
+                    s.suspects.popleft()
                 stats["quarantined"] += 1
+                s.completed += 1
                 out.append((idx, ChainOutcome(
-                    index=idx, error="WorkerCrashError",
-                    message=(f"shard worker {s.k} kept dying with this "
-                             f"chain in flight"),
-                    stage="round", quarantined=True)))
-            s.inflight.clear()
-            s.barren = 0
+                    index=idx, error="WorkerCrashError", message=msg,
+                    stage="worker", retries=strikes[idx],
+                    quarantined=True)))
+        if not s.suspects:
+            # a probation head is already queued; otherwise everything
+            # in flight is a suspect, in admission order
+            s.suspects.extend(s.inflight.items())
+        s.inflight.clear()
         s.respawns += 1
         stats["respawns"] += 1
         spawn(s)
-        if s.inflight:
-            send(s, ("a", list(s.inflight.items())))
-        if s.closed_sent:
-            send(s, ("c",))
+        feed(s)
         return out
 
     def pump(timeout):
@@ -456,7 +556,7 @@ def shard_stream(source, *,
         for s in ready.values():
             pairs, crashed = receive(s)
             out.extend(pairs)
-            if not s.done and (crashed or not s.proc.is_alive()):
+            if crashed:
                 out.extend(respawn(s))
         return out
 
@@ -486,15 +586,14 @@ def shard_stream(source, *,
                 yield from emit(early)
             if exhausted:
                 for s in shards:
-                    if not s.closed_sent:
+                    if not s.closed_sent and not s.suspects:
                         send(s, ("c",))
                         s.closed_sent = True
                 if all(s.done for s in shards):
                     break
             # a starved source with room to admit: poll the pipes
             # briefly, then retry the pull; otherwise wait for results
-            timeout = 0.02 if not exhausted \
-                and total_inflight() < capacity else None
+            timeout = 0.02 if not exhausted and free_slots() > 0 else None
             yield from emit(pump(timeout))
             refresh_shard_stats()
     finally:

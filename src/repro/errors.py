@@ -39,16 +39,16 @@ class LocalityViolation(ReproError):
 
 
 class WorkerCrashError(ReproError):
-    """A pool worker died (SIGKILL, OOM, broken pipe) or a job failed
-    to cross the process boundary (pickling).
+    """A shard worker failed: a chain killed its worker (SIGKILL, OOM,
+    broken pipe) every time it ran alone, or the worker died of an
+    error it could not ship back.
 
-    Carries enough context to re-dispatch or quarantine: the worker
-    slot, the stream indices of the chunk that was in flight, and how
-    many re-dispatch attempts had been made when the supervisor gave
-    up.  Raised by :mod:`repro.core.supervisor` and the pool paths of
-    :class:`repro.core.batch.BatchSimulator` in strict mode; in
-    quarantine mode the same information rides in a
-    :class:`~repro.core.results.ChainOutcome` instead.
+    Carries the shard, the stream indices involved and, for a
+    convicted chain, how many solo worker deaths convicted it
+    (``retries``).  Raised by :mod:`repro.core.shards` in strict mode;
+    in quarantine mode a convicted chain's record rides in a
+    :class:`~repro.core.results.ChainOutcome` (stage ``"worker"``)
+    instead.
     """
 
     def __init__(self, message: str, worker: int = -1,

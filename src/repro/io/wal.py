@@ -26,7 +26,7 @@ import base64
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -463,8 +463,7 @@ class WalAuditor:
         pass
 
 
-def audit_wal(wal_dir: str, chains: Iterable = (),
-              ext_indices: Optional[Sequence[int]] = None) -> AuditReport:
+def audit_wal(wal_dir: str, chains: Iterable = ()) -> AuditReport:
     """Re-execute a logged stream and diff it against its own log.
 
     The machine-checkable half of the durability story: ``round``
@@ -478,9 +477,8 @@ def audit_wal(wal_dir: str, chains: Iterable = (),
     logged record the deterministic re-execution contradicts.
 
     ``chains`` must be the same stream the logged run was fed (the
-    log records effects, not inputs).  ``ext_indices`` re-supplies the
-    global index mapping for sharded (§2.13 pool) logs.  The log and
-    its snapshots are never modified.
+    log records effects, not inputs).  The log and its snapshots are
+    never modified.
     """
     from repro.core.engine_fleet import FleetKernel  # noqa: F401 (cycle)
     from repro.core.faults import FaultPlan
@@ -515,9 +513,6 @@ def audit_wal(wal_dir: str, chains: Iterable = (),
                 f"{wal_dir}: chain stream ended after {k} entries but the "
                 f"log recorded {consumed} consumed — the audit needs the "
                 f"same stream the logged run was fed") from None
-    if ext_indices is not None:
-        kernel._ext_list = [int(x) for x in ext_indices]
-        kernel._ext_pos = consumed
     fd = start.get("faults")
     faults = FaultPlan.from_doc(fd) if fd else None
     auditor = WalAuditor(expected)

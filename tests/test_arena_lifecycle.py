@@ -488,12 +488,12 @@ class TestStreamingEquivalence:
         with pytest.raises(ValueError):
             list(kernel.run_stream([square_ring(8)], slots=0))
         sim = BatchSimulator([], engine="kernel", workers=2)
-        with pytest.raises(ValueError):       # pool path validates too
+        with pytest.raises(ValueError):       # shard path validates too
             list(sim.run_stream([square_ring(8)], slots=0))
 
     def test_pool_honours_total_slot_budget(self):
         # slots < workers must not multiply residency to one per
-        # worker: the pool shrinks to `slots` workers instead
+        # worker: the shards shrink to `slots` workers instead
         pts = [square_ring(8 + 2 * (k % 4)) for k in range(8)]
         singles = [Simulator(list(p), engine="kernel").run() for p in pts]
         sim = BatchSimulator([], engine="kernel", workers=4)

@@ -1,4 +1,4 @@
-"""BatchSimulator: fleet gathering, ordering, pool and engine parity."""
+"""BatchSimulator: fleet gathering, ordering, worker and engine parity."""
 
 import random
 
@@ -87,8 +87,8 @@ class TestBackendDeterminism:
     """Every engine × workers combination is bit-deterministic.
 
     The simulation itself is deterministic (no RNG inside the round
-    pipeline), so kernel batches (in-process fleet or supervised
-    pool), reference batches and fleet-of-one kernel runs must produce
+    pipeline), so kernel batches (in-process fleet or shard
+    workers), reference batches and fleet-of-one kernel runs must produce
     identical per-chain results — including full report streams —
     under any ``workers`` sharding, and must not consume or perturb
     the caller's RNG streams.
@@ -179,10 +179,10 @@ class TestProcessPool:
         assert batch.workers == 1
 
     def test_worker_kill_recovered(self, tmp_path, monkeypatch):
-        # a multi-worker batch runs on the supervised pool: a SIGKILLed
-        # worker is respawned and its chunk re-dispatched, so the batch
-        # still equals the in-process run bit for bit
-        from repro.core.supervisor import KILL_SPEC_ENV
+        # a multi-worker batch runs on the shards: a SIGKILLed worker
+        # is respawned and its chains re-fed, so the batch still equals
+        # the in-process run bit for bit
+        from repro.core.shards import KILL_SPEC_ENV
         chains = _fleet((8, 10, 12, 14))
         serial = gather_batch(chains, workers=1)
         counter = tmp_path / "kills"
@@ -192,4 +192,4 @@ class TestProcessPool:
         parallel = sim.run()
         assert [_result_key(r) for r in parallel] == \
             [_result_key(r) for r in serial]
-        assert sim.last_stream_stats["worker_crashes"] >= 1
+        assert sim.last_stream_stats["respawns"] >= 1

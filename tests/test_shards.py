@@ -1,13 +1,15 @@
 """The shard tier (DESIGN.md §2.16).
 
-Covers routing — ``run_stream`` sends an admission source to the
-shards and a finite iterable to the supervised pool — the shard
+Covers routing — ``run_stream`` sends every ``workers >= 2`` stream,
+admission source or finite iterable, to the shards — the shard
 scheduler's conformance guarantee (bit-identical to the in-process
 fleet per stream index, under mixed sizes, faults, quarantine and kept
-reports), crash recovery (SIGKILLed shard workers respawn and replay
-their in-flight chains with identical results; no worker outlives its
-stream or a killed parent), and the service tier on top: multi-worker
-resume, per-shard status, and chains of any admissible size.
+reports), the slot budget, results that never wait for a later round,
+crash recovery (SIGKILLed shard workers respawn and replay their
+in-flight chains with identical results; a chain that keeps killing
+its worker is convicted alone; no worker outlives its stream or a
+killed parent), and the service tier on top: multi-worker resume,
+per-shard status, and chains of any admissible size.
 """
 
 import asyncio
@@ -29,8 +31,7 @@ from repro.core.batch import BatchSimulator
 from repro.core.engine_fleet import FleetKernel
 from repro.core.faults import FaultPlan
 from repro.core.results import ChainOutcome
-from repro.core.shards import shard_stream
-from repro.core.supervisor import KILL_SPEC_ENV
+from repro.core.shards import KILL_SPEC_ENV, shard_stream
 from repro.errors import WorkerCrashError
 
 needs_proc = pytest.mark.skipif(not os.path.isdir("/proc"),
@@ -49,7 +50,7 @@ def mixed_chains(count, invalid_every=0):
 
 
 def closed_source(chains):
-    """A filled and closed admission source: the shards' only input."""
+    """A filled and closed admission source."""
     src = QueueSource()
     feed_queue(src, chains)
     return src
@@ -90,18 +91,15 @@ def alive(pid):
 # ---------------------------------------------------------------------------
 
 class TestRouting:
-    def test_source_to_shards_iterable_to_pool(self):
+    def test_source_and_iterable_both_to_shards(self):
         chains = mixed_chains(16)
         ref = fleet_reference(chains, slots=8)
-        sim = BatchSimulator([], workers=2, keep_reports=False)
-        assert_same(dict(sim.run_stream(closed_source(chains), slots=8)),
-                    ref)
-        rows = sim.last_stream_stats["per_shard"]
-        assert sum(r["completed"] for r in rows) == len(chains)
-        sim = BatchSimulator([], workers=2, keep_reports=False)
-        assert_same(dict(sim.run_stream(list(chains), slots=8)), ref)
-        assert "worker_crashes" in sim.last_stream_stats
-        assert "per_shard" not in sim.last_stream_stats
+        for stream in (closed_source(chains), list(chains)):
+            sim = BatchSimulator([], workers=2, keep_reports=False)
+            assert_same(dict(sim.run_stream(stream, slots=8)), ref)
+            rows = sim.last_stream_stats["per_shard"]
+            assert sum(r["completed"] for r in rows) == len(chains)
+            assert sim.last_stream_stats["respawns"] == 0
 
     def test_reports_through_shards_match_in_process(self):
         chains = mixed_chains(8)
@@ -197,6 +195,43 @@ class TestShardConformance:
         assert list(shard_stream(closed_source([]), workers=2,
                                  slots=4)) == []
 
+    def test_shard_count_clamped_to_slot_budget(self):
+        # slots caps the total residency: three workers on two slots
+        # would hold three chains, so the shards shrink to two
+        chains = mixed_chains(12)
+        stats = {}
+        got = dict(shard_stream(closed_source(chains), workers=3, slots=2,
+                                stats=stats))
+        assert_same(got, fleet_reference(chains, slots=2))
+        assert stats["workers"] == 2
+        assert stats["peak_live_chains"] <= 2
+        batch = BatchSimulator(chains[:2], workers=3).run()
+        assert batch.workers == 2
+        assert [result_key(r) for r in batch] == \
+            [result_key(fleet_reference(chains[:2], slots=2)[k])
+             for k in range(2)]
+
+    def test_admit_quarantine_not_held_for_a_later_round(self):
+        # one large ring per shard, then a poison entry: the shard that
+        # takes it ships the admit-stage outcome with the pass that
+        # rejected it, while both rings are still gathering
+        src = QueueSource()
+        for c in (square_ring(200), square_ring(201), [(0, 0), (1, 0)]):
+            src.put(c)
+        stats = {}
+        gen = shard_stream(src, workers=2, slots=4, on_error="quarantine",
+                           stats=stats)
+        try:
+            idx, first = next(gen)
+            live = sum(r["live"] for r in stats["per_shard"])
+        finally:
+            src.close()
+        rest = dict(gen)
+        assert idx == 2 and isinstance(first, ChainOutcome)
+        assert first.stage == "admit"
+        assert live == 2
+        assert sorted(rest) == [0, 1]
+
 
 # ---------------------------------------------------------------------------
 # crash recovery
@@ -215,11 +250,13 @@ class TestShardCrash:
         assert_same(got, fleet_reference(chains, slots=8))
         assert stats["respawns"] == 2
 
-    def test_crash_loop_quarantines_shard_residents(self, tmp_path,
-                                                    monkeypatch):
+    def test_crash_loop_quarantines_only_the_culprit(self, tmp_path,
+                                                     monkeypatch):
+        # the poison chain shares its shard with an innocent one; the
+        # suspects re-run one at a time, so only the killer is convicted
         chains = mixed_chains(8)
         cnt = tmp_path / "kills"
-        cnt.write_text("-1")           # never disarms: a poison shard
+        cnt.write_text("-1")           # never disarms: a poison chain
         monkeypatch.setenv(KILL_SPEC_ENV, f"{cnt}:3")
         got = dict(shard_stream(closed_source(chains), workers=2, slots=4,
                                 on_error="quarantine"))
@@ -227,20 +264,23 @@ class TestShardCrash:
         assert set(got) == set(range(8))
         bad = [k for k, r in got.items()
                if isinstance(r, ChainOutcome) and r.quarantined]
-        assert 3 in bad
-        for k in bad:
-            assert got[k].error == "WorkerCrashError"
-        for k in set(got) - set(bad):
-            assert got[k].gathered
+        assert bad == [3]
+        assert (got[3].error, got[3].stage, got[3].retries) == \
+            ("WorkerCrashError", "worker", 6)
+        ref = fleet_reference(chains, slots=4)
+        del ref[3]
+        del got[3]
+        assert_same(got, ref)
 
     def test_crash_loop_raises_in_strict_mode(self, tmp_path, monkeypatch):
         chains = mixed_chains(8)
         cnt = tmp_path / "kills"
         cnt.write_text("-1")
         monkeypatch.setenv(KILL_SPEC_ENV, f"{cnt}:3")
-        with pytest.raises(WorkerCrashError):
+        with pytest.raises(WorkerCrashError) as exc:
             list(shard_stream(closed_source(chains), workers=2, slots=4))
         monkeypatch.delenv(KILL_SPEC_ENV)
+        assert exc.value.indices == [3] and exc.value.retries == 6
 
     @needs_proc
     def test_parent_sigkill_orphans_exit(self, tmp_path):
@@ -420,6 +460,52 @@ class TestShardService:
                 await asyncio.wait_for(svc.wait_finished(), 60)
 
         asyncio.run(main())
+
+    def test_killer_submission_quarantined_alone(self, tmp_path,
+                                                 monkeypatch):
+        """A submission that kills its shard worker every time comes
+        back as the only quarantined frame; every other submission,
+        its shard-mates included, gets its ordinary result."""
+        from repro.service.server import GatherService
+        chains = mixed_chains(8)
+        cnt = tmp_path / "kills"
+        cnt.write_text("-1")
+        monkeypatch.setenv(KILL_SPEC_ENV, f"{cnt}:2")
+
+        async def main():
+            svc = GatherService(slots=4, workers=2)
+            await svc.start()
+            frames = {}
+            try:
+                reader, writer = await asyncio.open_connection(svc.host,
+                                                               svc.port)
+                await reader.readline()        # hello
+                for pts in chains:
+                    writer.write((json.dumps(
+                        {"op": "submit", "chain": [list(p) for p in pts],
+                         "ack": False}) + "\n").encode())
+                await writer.drain()
+                while len(frames) < len(chains):
+                    doc = json.loads(await asyncio.wait_for(
+                        reader.readline(), 60))
+                    if doc.get("status") in ("result", "quarantined"):
+                        frames[doc["chain"]] = doc
+                writer.close()
+            finally:
+                svc.begin_shutdown()
+                await asyncio.wait_for(svc.wait_finished(), 60)
+            return frames
+
+        frames = asyncio.run(main())
+        assert [k for k, f in sorted(frames.items())
+                if f["status"] == "quarantined"] == [2]
+        assert (frames[2]["error"], frames[2]["stage"]) == \
+            ("WorkerCrashError", "worker")
+        ref = fleet_reference(chains, slots=4)
+        for k, f in frames.items():
+            if k != 2:
+                assert (f["rounds"], f["gathered"]) == \
+                    (ref[k].rounds, ref[k].gathered)
 
     def test_late_chain_larger_than_first_burst(self):
         """Regression: shard capacity was once fixed from the first

@@ -3,7 +3,7 @@
 Worker kills, poison chains, mid-run robot faults and intake
 corruption must never abort a supervised stream, and the surviving
 good chains must be *bit-identical* (wall time excepted) to an
-unfaulted run — property-tested here with real SIGKILLed pool workers
+unfaulted run — property-tested here with real SIGKILLed shard workers
 via the REPRO_KILL_SPEC hook.
 """
 
@@ -17,11 +17,10 @@ from repro.chains import random_chain, square_ring
 from repro.core.engine_fleet import FleetKernel
 from repro.core.faults import FaultPlan
 from repro.core.results import ChainOutcome
+from repro.core.shards import KILL_SPEC_ENV, shard_stream
 from repro.core.supervisor import (
-    KILL_SPEC_ENV,
     DeadLetterWriter,
     StreamSupervisor,
-    pool_stream,
     supervise_stream,
 )
 from repro.errors import (
@@ -97,6 +96,17 @@ class TestQuarantineInProcess:
         for i, o in outs.items():
             if o.ok:
                 assert canon(o.result) == ref[i if i < 10 else i - 1]
+
+    def test_admit_quarantine_reports_progress(self):
+        # a pass whose only delivery is an admit-stage quarantine calls
+        # progress at once, not after the ring beside it retires
+        calls = []
+        fleet = FleetKernel([])
+        got = list(fleet.run_stream(
+            [square_ring(8), POISON], slots=2, on_error="quarantine",
+            progress=lambda done, total: calls.append((done, total))))
+        assert [i for i, _ in got] == [1, 0]
+        assert calls == [(1, 2), (2, 2)]
 
     def test_strict_mode_still_raises(self):
         from repro.errors import ChainError
@@ -176,18 +186,18 @@ class TestMidRunFaults:
         plan = FaultPlan(seed=5, mid_crash=0.1, mid_restart=0.2, window=4)
         solo = {o.index: (o.error, o.ok and canon(o.result))
                 for o in StreamSupervisor(slots=6, faults=plan).run(chains)}
-        pooled = {o.index: (o.error, o.ok and canon(o.result))
-                  for o in StreamSupervisor(slots=6, workers=2,
-                                            faults=plan).run(chains)}
-        assert solo == pooled
+        sharded = {o.index: (o.error, o.ok and canon(o.result))
+                   for o in StreamSupervisor(slots=6, workers=2,
+                                             faults=plan).run(chains)}
+        assert solo == sharded
 
 
 class TestIntakeFaults:
     def test_perturb_selected_poison_quarantines_on_every_scheduler(self):
         # one intake-fault policy: an invalid entry that the plan picks
         # for perturbation is validated before it is mutated, so it
-        # quarantines at admit in-process, on the pool and on the
-        # shards alike instead of aborting the stream
+        # quarantines at admit in-process and on the shards, fed a
+        # list or a source, instead of aborting the stream
         from repro.core.admission import QueueSource, feed_queue
         stream = [square_ring(4), POISON, square_ring(5)]
         plan = FaultPlan(seed=3, perturb=1.0)
@@ -204,10 +214,10 @@ class TestIntakeFaults:
                                "initial closed chain needs n >= 4, got 2",
                                "admit")
         assert solo[0][3] and solo[2][3]
-        assert outcomes(2, stream) == solo            # the supervised pool
+        assert outcomes(2, stream) == solo            # a finite list
         source = QueueSource()
         feed_queue(source, stream)
-        assert outcomes(2, source) == solo            # the shard tier
+        assert outcomes(2, source) == solo            # an admission source
 
 
 class TestSupervisedPool:
@@ -233,12 +243,12 @@ class TestSupervisedPool:
         tmp = pathlib.Path(tempfile.mkdtemp(prefix="sup-kill-"))
         self._arm(tmp, kills, target)
         try:
-            sup = StreamSupervisor(slots=8, workers=2, backoff=0.01,
+            sup = StreamSupervisor(slots=8, workers=2,
                                    wal_dir=str(tmp / "wal"))
             outs = {o.index: o for o in sup.run(chains)}
         finally:
             os.environ.pop(KILL_SPEC_ENV, None)
-        assert sup.stats["worker_crashes"] >= 1   # the hook really fired
+        assert sup.stats["respawns"] >= 1         # the hook really fired
         assert sorted(outs) == list(range(len(chains)))
         assert all(o.ok for o in outs.values())
         assert {i: canon(o.result) for i, o in outs.items()} == ref
@@ -248,14 +258,13 @@ class TestSupervisedPool:
         ref = {o.index: canon(o.result)
                for o in StreamSupervisor(slots=4).run(chains)}
         self._arm(tmp_path, -1, 5)                # never disarms
-        sup = StreamSupervisor(slots=4, workers=2, max_retries=1,
-                               backoff=0.01)
+        sup = StreamSupervisor(slots=4, workers=2)
         outs = {o.index: o for o in sup.run(chains)}
         bad = {i for i, o in outs.items() if not o.ok}
         assert bad == {5}
         assert outs[5].error == "WorkerCrashError" \
             and outs[5].stage == "worker"
-        assert sup.stats["quarantined_worker"] == 1
+        assert sup.stats["quarantined"] == 1
         for i, o in outs.items():
             if o.ok:
                 assert canon(o.result) == ref[i]
@@ -264,30 +273,8 @@ class TestSupervisedPool:
         chains = ring_stream(8)
         self._arm(tmp_path, -1, 3)
         with pytest.raises(WorkerCrashError) as exc:
-            list(pool_stream(chains, workers=2, slots=4, max_retries=0,
-                             backoff=0.01))
+            list(shard_stream(chains, workers=2, slots=4))
         assert 3 in exc.value.indices
-
-    def test_submit_to_broken_pool_recovers(self, monkeypatch, baseline):
-        # a worker can die between the last wait and the next submit:
-        # the submit itself then raises BrokenProcessPool, which must be
-        # absorbed like any worker death, not abort the stream
-        import concurrent.futures as cf
-        chains, ref = baseline
-        broke = []
-
-        class BreaksOnce(cf.ProcessPoolExecutor):
-            def submit(self, *args, **kwargs):
-                if not broke:
-                    broke.append(True)
-                    raise cf.process.BrokenProcessPool("worker died")
-                return super().submit(*args, **kwargs)
-
-        monkeypatch.setattr(cf, "ProcessPoolExecutor", BreaksOnce)
-        sup = StreamSupervisor(slots=6, workers=2, backoff=0.01)
-        outs = {o.index: o for o in sup.run(chains)}
-        assert sup.stats["worker_crashes"] == 1
-        assert {i: canon(o.result) for i, o in outs.items()} == ref
 
     def test_pool_poison_chain_quarantined(self, tmp_path, baseline):
         chains, ref = baseline
@@ -302,13 +289,6 @@ class TestSupervisedPool:
 
 
 class TestShardedWalRestrictions:
-    def test_pool_wal_with_reports_rejected(self):
-        from repro.core.batch import BatchSimulator
-        sim = BatchSimulator([], engine="kernel", workers=2,
-                             keep_reports=True)
-        with pytest.raises(ValueError):
-            list(sim.run_stream(ring_stream(2), slots=2, wal_dir="/tmp/x"))
-
     def test_top_level_resume_single_process_only(self):
         from repro.core.batch import BatchSimulator
         sim = BatchSimulator([], engine="kernel", workers=2)
@@ -323,4 +303,3 @@ class TestShardedWalRestrictions:
         assert len(outs) == 10 and all(o.ok for o in outs.values())
         shards = sorted(p.name for p in wal.iterdir())
         assert shards == ["shard-0", "shard-1"]
-        assert (wal / "shard-0" / "results.ndjson").exists()

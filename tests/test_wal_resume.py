@@ -262,10 +262,21 @@ class TestBatchWiring:
         stats = sim2.last_stream_stats
         assert "fault_crashed" in stats and "fault_perturbed" in stats
 
-    def test_wal_rejects_multiprocess(self, tmp_path):
-        sim = BatchSimulator([], engine="kernel", workers=2)
-        with pytest.raises(ValueError):
-            next(sim.run_stream(iter([]), slots=4, wal_dir=str(tmp_path)))
+    def test_wal_multiprocess_keeps_reports(self, tmp_path):
+        # the shards ship per-round reports with their results, so a
+        # 2-worker WAL stream keeps them, equal to the in-process ones
+        pts = _stream_pts(12, seed=9)
+        solo = dict(BatchSimulator([], engine="kernel")
+                    .run_stream(iter(pts), slots=4))
+        sharded = dict(BatchSimulator([], engine="kernel", workers=2)
+                       .run_stream(iter(pts), slots=4,
+                                   wal_dir=str(tmp_path)))
+        assert sorted(sharded) == sorted(solo)
+        for ext in solo:
+            assert solo[ext].reports
+            assert sharded[ext].reports == solo[ext].reports
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["shard-0", "shard-1"]
 
     def test_resume_requires_wal_dir(self):
         sim = BatchSimulator([], engine="kernel")
