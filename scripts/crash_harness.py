@@ -49,6 +49,12 @@ death.  Five modes:
     shutdown, with every chain exactly once in ``results.ndjson`` and
     rows identical to a clean ``--workers 1`` service run's.
 
+Every row these modes compare is a result row (DESIGN.md §2.15) and
+carries a digest of the chain's final positions, so each comparison
+also checks where every chain gathered; a clean-run row without a
+digest fails the harness, so a row change cannot drop that check
+silently.
+
 Exit status 0 iff the mode's contract held.
 
 Usage::
@@ -164,6 +170,15 @@ def load_ndjson(path: str) -> list:
             if line.strip()]
 
 
+def require_digest(rows: list) -> list:
+    """``rows``, once every one carries its final-position digest."""
+    missing = [r.get("chain") for r in rows if "digest" not in r]
+    if missing:
+        raise SystemExit(f"[crash-harness] clean-run rows without a "
+                         f"final-position digest: chains {missing[:5]}")
+    return rows
+
+
 # ----------------------------------------------------------------------
 # mode: cli-kill (§2.12 resume)
 # ----------------------------------------------------------------------
@@ -199,6 +214,7 @@ def mode_cli_kill(args, tmp: str, jsonl: str, env: dict) -> int:
     subprocess.run(batch_cmd(jsonl, clean, args.slots, wal=None),
                    env=env, check=True, stdout=subprocess.DEVNULL)
     clean_bytes = open(clean, "rb").read()
+    require_digest(load_ndjson(clean))
 
     # Kill targets: seeded, sorted so each resume makes forward progress.
     wal = os.path.join(tmp, "wal")
@@ -352,8 +368,9 @@ def mode_service_kill(args, tmp: str, jsonl: str, env: dict) -> int:
     # stay byte-consistent: each resume appends to the same ledger.
     clean = os.path.join(tmp, "svc-clean")
     run_cycle(clean, target=None, resume=False)
-    clean_rows = sorted(load_ndjson(os.path.join(clean, "results.ndjson")),
-                        key=lambda d: d["chain"])
+    clean_rows = require_digest(sorted(
+        load_ndjson(os.path.join(clean, "results.ndjson")),
+        key=lambda d: d["chain"]))
     if len(clean_rows) != len(chains):
         raise SystemExit("clean service run lost results")
 
@@ -439,7 +456,8 @@ def mode_worker_kill(args, tmp: str, jsonl: str, env: dict) -> int:
     clean = os.path.join(tmp, "clean.ndjson")
     subprocess.run(batch_cmd(jsonl, clean, args.slots, wal=None),
                    env=env, check=True, stdout=subprocess.DEVNULL)
-    clean_rows = sorted(load_ndjson(clean), key=lambda d: d["chain"])
+    clean_rows = require_digest(sorted(load_ndjson(clean),
+                                       key=lambda d: d["chain"]))
 
     wal = os.path.join(tmp, "wal")
     out = os.path.join(tmp, "supervised.ndjson")
@@ -511,8 +529,9 @@ def mode_shard_kill(args, tmp: str, jsonl: str, env: dict) -> int:
     # rows are deterministic; completion order is wire-paced)
     clean = os.path.join(tmp, "svc-clean")
     run_service(clean, args, env, chains)
-    clean_rows = sorted(load_ndjson(os.path.join(clean, "results.ndjson")),
-                        key=lambda d: d["chain"])
+    clean_rows = require_digest(sorted(
+        load_ndjson(os.path.join(clean, "results.ndjson")),
+        key=lambda d: d["chain"]))
     if len(clean_rows) != len(chains):
         raise SystemExit("clean service run lost results")
 
@@ -575,7 +594,8 @@ def mode_poison(args, tmp: str, jsonl: str, env: dict) -> int:
     clean = os.path.join(tmp, "clean.ndjson")
     subprocess.run(batch_cmd(jsonl, clean, args.slots, wal=None),
                    env=env, check=True, stdout=subprocess.DEVNULL)
-    clean_rows = sorted(load_ndjson(clean), key=lambda d: d["chain"])
+    clean_rows = require_digest(sorted(load_ndjson(clean),
+                                       key=lambda d: d["chain"]))
 
     # plant poison entries (valid JSON, invalid chains) at seeded
     # positions of a new stream file

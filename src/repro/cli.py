@@ -20,6 +20,7 @@ import sys
 from typing import List, Optional
 
 from repro.core.config import Parameters
+from repro.core.results import outcome_row
 from repro.core.simulator import ENGINES, Simulator
 from repro.chains import FAMILIES
 from repro.io import load_chain
@@ -153,7 +154,6 @@ def _open_stream_out(path: str, resume: bool):
 def cmd_batch_stream(args) -> int:
     """Bounded-memory streaming batch: JSONL chains in, results out."""
     from repro.core.batch import BatchSimulator
-    from repro.core.results import ChainOutcome
     if args.engine != "kernel":
         raise SystemExit("--stream runs on the fleet kernel; it requires "
                          "--engine kernel")
@@ -198,33 +198,30 @@ def cmd_batch_stream(args) -> int:
     on_error = "quarantine" if dl is not None else "raise"
     total = gathered = rounds = robots = quarantined = 0
     try:
-        for idx, result in sim.run_stream(chains, slots=args.slots,
-                                          max_rounds=args.max_rounds,
-                                          progress=progress,
-                                          wal_dir=args.wal,
-                                          snapshot_every=args.snapshot_every,
-                                          faults=faults,
-                                          resume=args.resume,
-                                          on_error=on_error):
-            if isinstance(result, ChainOutcome) and not result.ok:
+        for idx, payload in sim.run_stream(chains, slots=args.slots,
+                                           max_rounds=args.max_rounds,
+                                           progress=progress,
+                                           wal_dir=args.wal,
+                                           snapshot_every=args.snapshot_every,
+                                           faults=faults,
+                                           resume=args.resume,
+                                           on_error=on_error):
+            row = outcome_row(idx, payload)
+            if row["quarantined"]:
+                # mid-run fault crashes quarantine in strict mode too
                 quarantined += 1
-                dl.write_outcome(result)
+                if dl is not None:
+                    dl.write(row)
                 continue
-            if isinstance(result, ChainOutcome):
-                result = result.result
             total += 1
-            gathered += bool(result.gathered)
-            rounds += result.rounds
-            robots += result.initial_n
+            gathered += row["gathered"]
+            rounds += row["rounds"]
+            robots += row["n"]
             # NDJSON, one line per finished chain, in completion order.
             # The line is flushed *before* the loop re-enters the
             # generator (which appends the WAL yield record), so a
             # recorded yield always implies a durable output line.
-            line = json.dumps({"chain": idx, "n": result.initial_n,
-                               "rounds": result.rounds,
-                               "gathered": result.gathered,
-                               "rounds_per_robot":
-                               round(result.rounds_per_robot, 3)})
+            line = json.dumps(row)
             if out_fh is not None:
                 if idx not in seen:
                     out_fh.write(line + "\n")
@@ -238,7 +235,7 @@ def cmd_batch_stream(args) -> int:
             dl.close()
     stats = sim.last_stream_stats or {}
     extras = ""
-    if dl is not None:
+    if dl is not None or quarantined:
         extras = (f", quarantined={quarantined}, "
                   f"bad_lines={bad_lines[0]}")
     if "topo_rebuilds" in stats:
@@ -276,14 +273,12 @@ def cmd_batch(args) -> int:
     from repro.chains import random_chain
     rng = random.Random(args.seed)
     chains = []
-    labels = []
     for n in args.sizes:
         for _ in range(args.repeat):
             if args.family == "random":
                 chains.append(random_chain(n, rng))  # deterministic via --seed
             else:
                 chains.append(family(n))
-            labels.append(f"{args.family}-{n}")
     sim = BatchSimulator(chains, params=_params(args), engine=args.engine,
                          check_invariants=args.check, workers=args.workers,
                          keep_reports=False)
@@ -291,10 +286,8 @@ def cmd_batch(args) -> int:
     batch = sim.run(max_rounds=args.max_rounds, progress=progress)
     print(batch.summary())
     if args.json:
-        rows = [{"chain": lbl, "n": r.initial_n, "rounds": r.rounds,
-                 "gathered": r.gathered,
-                 "rounds_per_robot": round(r.rounds_per_robot, 3)}
-                for lbl, r in zip(labels, batch)]
+        # keyed by input index, in --sizes x --repeat order
+        rows = [outcome_row(i, r) for i, r in enumerate(batch)]
         print(json.dumps({"summary": batch.summary(), "runs": rows}, indent=2))
     return 0 if batch.all_gathered else 2
 
@@ -527,8 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest accepted submission; longer chains are "
                         "rejected with a bad-line frame (default 4096)")
     s.add_argument("--max-rounds", type=int, default=None,
-                   help="round budget per admitted chain; over-budget "
-                        "chains come back quarantined (default: 3n+50)")
+                   help="round budget per admitted chain; an over-budget "
+                        "chain comes back as a result frame with "
+                        "gathered false (default: (2L+2)n + 8L + 64, "
+                        "28n + 168 at the default L)")
     s.add_argument("--check", action="store_true",
                    help="enable per-round invariant checking")
     s.add_argument("--viewing", type=int, help="viewing path length (default 11)")

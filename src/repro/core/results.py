@@ -8,12 +8,19 @@ all of them: the simulator facade imports the kernel engine, which
 imports the fleet kernel, which must not import the facade back.
 (Import it from :mod:`repro.core.simulator` or :mod:`repro.core` as
 before; both re-export it.)
+
+:func:`outcome_row` is the one wire form of a finished stream entry:
+service frames and results ledger, ``repro batch --stream``/``--json``
+output and the dead letter all write its row unchanged (DESIGN.md
+§2.15).
 """
 
 from __future__ import annotations
 
+import struct
+import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from repro.grid.lattice import Vec
 from repro.core.config import Parameters
@@ -91,22 +98,44 @@ class ChainOutcome:
             index=self.index, stage=self.stage)
 
     def to_doc(self) -> dict:
-        """JSON-ready form (dead-letter ledger / service frames)."""
-        doc = {"kind": "chain", "chain": self.index,
-               "quarantined": self.quarantined}
-        if self.error is not None:
-            doc["error"] = self.error
-            doc["message"] = self.message
-            doc["stage"] = self.stage
-            if self.retries:
-                doc["retries"] = self.retries
-        return doc
+        """The outcome's result row (:func:`outcome_row`)."""
+        return outcome_row(self.index, self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ChainOutcome":
+        """Read a quarantined row back (the dead-letter reader)."""
         return cls(index=int(doc["chain"]),
                    error=doc.get("error"),
                    message=str(doc.get("message", "")),
                    stage=str(doc.get("stage", "")),
                    retries=int(doc.get("retries", 0)),
                    quarantined=bool(doc.get("quarantined", False)))
+
+
+def positions_digest(positions: Iterable[Vec]) -> int:
+    """CRC32 of positions in chain order packed as little-endian int64
+    ``x, y`` pairs: recomputable in any language."""
+    flat = [v for p in positions for v in p]
+    return zlib.crc32(struct.pack(f"<{len(flat)}q", *flat))
+
+
+def outcome_row(index: int, payload) -> dict:
+    """The result row (DESIGN.md §2.15) of stream entry ``index``, from
+    a :class:`GatheringResult` or a :class:`ChainOutcome`: ``kind``,
+    ``chain`` and ``quarantined``, then a result's counts and final-
+    position ``digest`` or a quarantine's ``error``/``message``/``stage``."""
+    if isinstance(payload, ChainOutcome):
+        if payload.error is not None:
+            row = {"kind": "chain", "chain": index,
+                   "quarantined": payload.quarantined,
+                   "error": payload.error, "message": payload.message,
+                   "stage": payload.stage}
+            if payload.retries:
+                row["retries"] = payload.retries
+            return row
+        payload = payload.result
+    return {"kind": "chain", "chain": index, "quarantined": False,
+            "n": payload.initial_n, "final_n": payload.final_n,
+            "rounds": payload.rounds, "gathered": payload.gathered,
+            "rounds_per_robot": round(payload.rounds_per_robot, 3),
+            "digest": positions_digest(payload.final_positions)}

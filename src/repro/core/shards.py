@@ -479,12 +479,13 @@ def shard_stream(source, *,
                     if s.suspects and s.suspects[0][0] == idx:
                         s.suspects.popleft()
                     if isinstance(payload, ChainOutcome):
+                        # a mid-run fault crash counts under both, as
+                        # the in-process kernel counts it
+                        stats["quarantined"] += 1
                         if payload.stage == "fault":
                             stats["mid_crashed"] += 1
-                        else:
-                            stats["quarantined"] += 1
-                            if payload.stage == "admit":
-                                stats["admitted"] -= 1
+                        elif payload.stage == "admit":
+                            stats["admitted"] -= 1
                     s.completed += 1
                     out.append((idx, payload))
                 if alive:

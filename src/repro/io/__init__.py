@@ -6,8 +6,6 @@ from repro.io.serialization import (
     load_chain,
     load_trace,
     register_migration,
-    result_from_json,
-    result_to_json,
     save_chain,
     save_trace,
     trace_from_json,
@@ -28,8 +26,6 @@ __all__ = [
     "chain_from_json",
     "save_chain",
     "load_chain",
-    "result_to_json",
-    "result_from_json",
     "trace_to_json",
     "trace_from_json",
     "save_trace",

@@ -1,4 +1,4 @@
-"""JSON (de)serialization for chains, results and traces.
+"""JSON (de)serialization for chains and traces.
 
 The formats are deliberately simple and versioned so stall cases and
 experiment outputs can be archived and replayed across library versions.
@@ -12,14 +12,13 @@ of :mod:`repro.io.wal` ride the same machinery).
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.errors import ChainError
 from repro.core.chain import ClosedChain, MergeRecord
 from repro.core.config import Parameters
 from repro.core.events import RoundReport, RunSnapshot, Snapshot, Trace
 from repro.core.runs import StopReason
-from repro.core.simulator import GatheringResult
 
 FORMAT_VERSION = 1
 
@@ -28,7 +27,6 @@ FORMAT_VERSION = 1
 #: one is migrated stepwise through the registered hooks.
 SUPPORTED_VERSIONS: Dict[str, int] = {
     "repro.chain": FORMAT_VERSION,
-    "repro.result": FORMAT_VERSION,
     "repro.trace": FORMAT_VERSION,
     "repro.wal": 1,
     "repro.fleet-snapshot": 1,
@@ -153,7 +151,7 @@ def load_chain(path: str) -> ClosedChain:
 
 
 #: Parameters fields carried by every serialized document that embeds
-#: an algorithm configuration (results, fleet snapshots, WAL headers).
+#: an algorithm configuration (fleet snapshots, WAL headers).
 _PARAM_FIELDS = ("viewing_path_length", "start_interval", "k_max",
                  "passing_distance", "travel_steps", "endpoint_guard",
                  "sequent_guard")
@@ -167,41 +165,6 @@ def params_to_doc(params: Parameters) -> Dict[str, Any]:
 def params_from_doc(doc: Dict[str, Any]) -> Parameters:
     """Rebuild Parameters from :func:`params_to_doc` output."""
     return Parameters(**{f: doc[f] for f in _PARAM_FIELDS})
-
-
-def result_to_json(result: GatheringResult) -> str:
-    """Serialize the scalar outcome of a gathering run (no trace)."""
-    doc = {
-        "format": "repro.result",
-        "version": FORMAT_VERSION,
-        "gathered": result.gathered,
-        "rounds": result.rounds,
-        "initial_n": result.initial_n,
-        "final_n": result.final_n,
-        "final_positions": [list(p) for p in result.final_positions],
-        "stalled": result.stalled,
-        "wall_time": result.wall_time,
-        "params": params_to_doc(result.params),
-    }
-    return json.dumps(doc)
-
-
-def result_from_json(text: str) -> GatheringResult:
-    """Deserialize a result document (reports/trace are not archived)."""
-    doc = validate_document(json.loads(text), "repro.result")
-    return GatheringResult(
-        gathered=bool(doc["gathered"]),
-        rounds=int(doc["rounds"]),
-        initial_n=int(doc["initial_n"]),
-        final_n=int(doc["final_n"]),
-        final_positions=[tuple(int(v) for v in p)
-                         for p in doc["final_positions"]],
-        params=params_from_doc(doc["params"]),
-        reports=[],
-        trace=None,
-        stalled=bool(doc["stalled"]),
-        wall_time=float(doc["wall_time"]),
-    )
 
 
 def report_to_doc(report: RoundReport) -> Dict[str, Any]:

@@ -24,10 +24,12 @@ Server -> client frames (the ``status`` field):
 ``bad-line``       a line was rejected (malformed JSON, not an object,
                    unknown op, invalid or oversized chain); carries the
                    1-based connection line number.  Never fatal.
-``result``         a chain finished: same fields as ``repro batch
-                   --stream`` output lines, plus ``seq`` (this client's
+``result``         a chain finished: its result row (§2.15, the
+                   ``repro batch --stream`` line, final-position
+                   ``digest`` included) plus ``seq`` (this client's
                    0-based submission index).
-``quarantined``    a chain was quarantined (§2.13 ChainOutcome fields).
+``quarantined``    a chain was quarantined: its quarantined row plus
+                   ``seq``.
 ``status``         health snapshot.
 ``drained``        all of this client's submissions have been delivered.
 ``bye``            shutdown acknowledged; connection closes after drain.

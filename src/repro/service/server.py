@@ -53,7 +53,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import DEFAULT_PARAMETERS, Parameters
-from repro.core.results import ChainOutcome
+from repro.core.results import outcome_row
 from repro.service.protocol import (MAX_CHAIN, MAX_LINE, PROTOCOL_VERSION,
                                     ProtocolError, encode_frame,
                                     parse_positions, read_frames)
@@ -142,7 +142,15 @@ class GatherService:
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
-        """Bind the listener, start the kernel thread, load any WAL."""
+        """Load any WAL, bind the listener, then start the kernel
+        thread; a start that fails closes what it opened."""
+        try:
+            await self._start()
+        except BaseException:
+            await self._close()
+            raise
+
+    async def _start(self) -> None:
         from repro.core.batch import BatchSimulator
         from repro.io.serialization import open_ndjson_ledger
         self._loop = asyncio.get_running_loop()
@@ -197,27 +205,38 @@ class GatherService:
             [], params=self.params, engine="kernel",
             workers=self.workers, keep_reports=False,
             check_invariants=self.check_invariants)
-        self._kernel_task = self._loop.run_in_executor(
-            None, self._kernel_main)
         self._server = await asyncio.start_server(
             self._on_client, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
+        self._kernel_task = self._loop.run_in_executor(
+            None, self._kernel_main)
 
     async def wait_finished(self) -> None:
         """Block until the stream ends (shutdown op, signal, or kernel
         death); then reap the kernel thread and release the logs."""
         await self._finished.wait()
-        try:
-            await self._kernel_task
-        except BaseException:
-            pass  # already captured in kernel_error
-        self._server.close()
-        await self._server.wait_closed()
+        await self._close()
+        if self.kernel_error is not None:
+            raise self.kernel_error
+
+    async def _close(self) -> None:
+        """Close admission, wait for the kernel thread, release the
+        listener and logs.  Also the failing exit of :meth:`start` and
+        :func:`serve`: a kernel thread left parked in the queue's
+        ``take`` would keep ``asyncio.run`` from ever returning."""
+        if self.queue is not None:
+            self.queue.close()
+        if self._kernel_task is not None:
+            try:
+                await self._kernel_task
+            except BaseException:
+                pass  # already captured in kernel_error
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
         for fh in (self._subs_fh, self._intake_fh, self._ledger_fh):
             if fh is not None:
                 fh.close()
-        if self.kernel_error is not None:
-            raise self.kernel_error
 
     def begin_shutdown(self) -> None:
         """Close admission; the kernel drains the backlog and exits.
@@ -249,33 +268,23 @@ class GatherService:
                 wal_dir=self.wal_dir, snapshot_every=self.snapshot_every,
                 resume=resume, on_error="quarantine")
             for idx, payload in gen:
-                doc = self._outcome_doc(idx, payload)
+                row = outcome_row(idx, payload)
                 if self._ledger_fh is not None \
                         and idx not in self._ledger_seen:
                     # durable before the generator is re-entered: a WAL
                     # yield record always implies a ledger line (§2.12)
                     self._ledger_fh.write(
-                        json.dumps(doc, separators=(",", ":")) + "\n")
+                        json.dumps(row, separators=(",", ":")) + "\n")
                     self._ledger_fh.flush()
-                self._loop.call_soon_threadsafe(self._deliver, idx, doc)
+                self._loop.call_soon_threadsafe(self._deliver, idx, row)
         except BaseException as exc:  # noqa: BLE001 — surfaced to caller
             self.kernel_error = exc
             self._loop.call_soon_threadsafe(self._stream_ended, exc)
         else:
             self._loop.call_soon_threadsafe(self._stream_ended, None)
 
-    @staticmethod
-    def _outcome_doc(idx: int, payload) -> dict:
-        if isinstance(payload, ChainOutcome):
-            if not payload.ok:
-                return payload.to_doc()
-            payload = payload.result
-        return {"chain": idx, "n": payload.initial_n,
-                "rounds": payload.rounds, "gathered": payload.gathered,
-                "rounds_per_robot": round(payload.rounds_per_robot, 3)}
-
     # -- loop-thread delivery ------------------------------------------
-    def _deliver(self, idx: int, doc: dict) -> None:
+    def _deliver(self, idx: int, row: dict) -> None:
         self.served += 1
         owner = self.queue.owner_of(idx)
         if owner is None:
@@ -283,11 +292,9 @@ class GatherService:
         cs = self._clients.get(owner[0])
         if cs is None:
             return
-        frame = {k: v for k, v in doc.items() if k != "kind"}
-        frame["status"] = ("quarantined" if doc.get("quarantined")
-                           else "result")
-        frame["seq"] = owner[1]
-        self._write(cs, frame)
+        # a frame is the result row plus the client's addressing
+        status = "quarantined" if row["quarantined"] else "result"
+        self._write(cs, {**row, "status": status, "seq": owner[1]})
         cs.delivered += 1
         if cs.draining and cs.delivered >= cs.accepted:
             cs.draining = False
@@ -474,14 +481,18 @@ async def serve(service: GatherService, ready=None,
     """
     import signal
     await service.start()
-    if install_signals:
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, service.begin_shutdown)
-            except (NotImplementedError, RuntimeError):
-                break
-    if ready is not None:
-        ready(service)
-    await service.wait_finished()
+    try:
+        if install_signals:
+            loop = asyncio.get_running_loop()
+            for sig in (signal.SIGINT, signal.SIGTERM):
+                try:
+                    loop.add_signal_handler(sig, service.begin_shutdown)
+                except (NotImplementedError, RuntimeError):
+                    break
+        if ready is not None:
+            ready(service)
+        await service.wait_finished()
+    except BaseException:
+        await service._close()
+        raise
     return service

@@ -227,6 +227,18 @@ class TestSupervisedStream:
         rows = [json.loads(s) for s in out_file.read_text().splitlines()]
         assert sorted(r["chain"] for r in rows) == [0, 2]
 
+    def test_mid_run_crash_without_dead_letter(self, tmp_path, capsys):
+        # injected mid-run crashes come back quarantined in strict mode
+        # too; with no dead letter they are only counted
+        path = self._write_jsonl(tmp_path, [square_ring(8)] * 4)
+        rc = main(["batch", "--stream", path, "--json", "--faults",
+                   "seed=3,mid_crash=1.0,window=2"])
+        assert rc == 2
+        out = capsys.readouterr().out
+        assert "0/0 gathered" in out and "quarantined=4" in out
+        assert not [line for line in out.splitlines()
+                    if line.startswith("{")]
+
     def test_wal_audit_clean_and_tampered(self, tmp_path, capsys):
         path = self._write_jsonl(
             tmp_path, [square_ring(8), square_ring(12), square_ring(8)])

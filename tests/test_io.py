@@ -6,14 +6,13 @@ import pytest
 
 from repro.errors import ChainError
 from repro.core.chain import ClosedChain
-from repro.core.simulator import Simulator, gather
+from repro.core.simulator import Simulator
 from repro.chains import square_ring, stairway_octagon
 from repro.io import (
     chain_from_json,
     chain_to_json,
     load_chain,
     load_trace,
-    result_to_json,
     save_chain,
     save_trace,
     trace_from_json,
@@ -41,16 +40,6 @@ class TestChainSerialization:
                           "positions": [[0, 0], [5, 5]]})
         with pytest.raises(ChainError):
             chain_from_json(doc)
-
-
-class TestResultSerialization:
-    def test_result_fields(self):
-        result = gather(square_ring(8))
-        doc = json.loads(result_to_json(result))
-        assert doc["gathered"] is True
-        assert doc["initial_n"] == 28
-        assert doc["params"]["viewing_path_length"] == 11
-        assert doc["params"]["start_interval"] == 13
 
 
 class TestTraceSerialization:

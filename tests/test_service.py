@@ -16,6 +16,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import socket
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,6 +160,81 @@ class TestWireBasics:
             await asyncio.wait_for(svc.wait_finished(), 60)
             await cli.close()
         run(main())
+
+    def test_over_budget_chain_is_a_result(self):
+        # --max-rounds caps each chain's rounds; a chain that runs out
+        # comes back as an ungathered result, not a quarantine
+        async def main():
+            async with _Service(max_rounds=1) as ctx:
+                await ctx.client.submit(RING8)
+                return await ctx.client.next_result(timeout=60)
+        fr = run(main())
+        assert (fr["status"], fr["n"], fr["rounds"], fr["gathered"]) == \
+            ("result", 28, 1, False)
+
+
+class TestFailedServiceExits:
+    """A service that fails after start-up exits instead of waiting on
+    a kernel thread parked in the admission queue.  Each case runs in a
+    subprocess under a timeout, so a hang fails the test."""
+
+    @staticmethod
+    def _env():
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        return {**os.environ, "PYTHONPATH": src}
+
+    def _run(self, argv, timeout):
+        return subprocess.run([sys.executable] + argv, env=self._env(),
+                              capture_output=True, text=True,
+                              timeout=timeout)
+
+    @pytest.fixture
+    def busy_port(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            sock.listen()
+            yield sock.getsockname()[1]
+
+    def test_busy_port_start_raises(self, busy_port):
+        code = textwrap.dedent(f"""
+            import asyncio
+            from repro.service.server import GatherService
+
+            async def main():
+                try:
+                    await GatherService(port={busy_port}).start()
+                except OSError:
+                    print("OSError")
+            asyncio.run(main())
+            """)
+        res = self._run(["-c", code], timeout=30)
+        assert (res.returncode, res.stdout) == (0, "OSError\n"), res.stderr
+
+    def test_raising_ready_makes_serve_raise(self):
+        code = textwrap.dedent("""
+            import asyncio
+            from repro.service.server import GatherService, serve
+
+            def ready(service):
+                raise RuntimeError("ready failed")
+            try:
+                asyncio.run(serve(GatherService(), ready=ready,
+                                  install_signals=False))
+            except RuntimeError as exc:
+                print(exc)
+            """)
+        res = self._run(["-c", code], timeout=30)
+        assert (res.returncode, res.stdout) == (0, "ready failed\n"), \
+            res.stderr
+
+    def test_cli_busy_port_exits_with_one_error_line(self, busy_port):
+        res = self._run(["-m", "repro", "serve", "--port", str(busy_port)],
+                        timeout=10)
+        assert res.returncode == 1 and res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and \
+            lines[0].startswith("service failed: OSError"), res.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -33,28 +33,40 @@ from repro.service.server import GatherService
 
 RING8 = square_ring(8)
 RING16 = square_ring(16)
+#: about a second of kernel work: it holds its slot while a test's
+#: submissions arrive, so the backlog they test exists by construction
+RING_LONG = square_ring(200)
 
 
 def run(coro):
     return asyncio.run(coro)
 
 
+async def _stop(svc: GatherService) -> None:
+    svc.begin_shutdown()
+    await asyncio.wait_for(svc.wait_finished(), 120)
+
+
 class TestBackpressure:
     def test_backlog_never_exceeds_capacity(self):
+        # two long chains fill both slots, so the queue fills and the
+        # fourth ring after them parks
         async def main():
             svc = GatherService(slots=2, queue_capacity=3)
             await svc.start()
-            cli = await GatherClient.connect("127.0.0.1", svc.port)
-            for _ in range(25):
-                ack = await cli.submit(RING8)
-                assert ack["status"] == "queued"
-                assert ack["queued"] <= 3
-            await cli.drain(timeout=120)
-            assert svc.queue.peak_depth <= 3
-            assert cli.backpressure_seen > 0
-            await cli.shutdown()
-            await asyncio.wait_for(svc.wait_finished(), 60)
-            await cli.close()
+            try:
+                cli = await GatherClient.connect("127.0.0.1", svc.port)
+                for chain in [RING_LONG] * 2 + [RING8] * 25:
+                    ack = await cli.submit(chain)
+                    assert ack["status"] == "queued"
+                    assert ack["queued"] <= 3
+                await cli.drain(timeout=120)
+                assert svc.queue.peak_depth <= 3
+                assert cli.backpressure_seen > 0
+                await cli.shutdown()
+                await cli.close()
+            finally:
+                await _stop(svc)
         run(main())
 
     def test_parked_submissions_admitted_in_arrival_order(self):
@@ -103,31 +115,34 @@ class TestBackpressure:
 
 class TestFairness:
     def test_late_client_not_starved_by_pipeliner(self):
-        # A floods 24 chains; B then submits 4.  With slots=1 the
-        # backlog persists, so B's chains must interleave into the
-        # round-robin window right behind the in-flight takes instead
-        # of queueing behind all of A's.
+        # A floods a long chain and 24 rings; B then submits 4.  With
+        # slots=1 the long chain holds the only slot while they
+        # arrive, so A's backlog persists and B's chains must
+        # interleave into the round-robin window instead of queueing
+        # behind all of A's.
         async def main():
             svc = GatherService(slots=1, queue_capacity=64)
             await svc.start()
-            a = await GatherClient.connect("127.0.0.1", svc.port)
-            for _ in range(24):
-                await a.submit(RING16)
-            b = await GatherClient.connect("127.0.0.1", svc.port)
-            for _ in range(4):
-                await b.submit(RING8)
-            b_idx = []
-            async for fr in b.results(expect=4, timeout=120):
-                assert fr["status"] == "result"
-                b_idx.append(fr["chain"])
-            await a.drain(timeout=120)
-            await a.shutdown()
-            await asyncio.wait_for(svc.wait_finished(), 60)
-            await a.close()
-            await b.close()
+            try:
+                a = await GatherClient.connect("127.0.0.1", svc.port)
+                for chain in [RING_LONG] + [RING16] * 24:
+                    await a.submit(chain)
+                b = await GatherClient.connect("127.0.0.1", svc.port)
+                for _ in range(4):
+                    await b.submit(RING8)
+                b_idx = []
+                async for fr in b.results(expect=4, timeout=120):
+                    assert fr["status"] == "result"
+                    b_idx.append(fr["chain"])
+                await a.drain(timeout=120)
+                await a.shutdown()
+                await a.close()
+                await b.close()
+            finally:
+                await _stop(svc)
             return b_idx
         b_idx = run(main())
-        # FIFO would admit B's chains at global indices 24..27; fair
+        # FIFO would admit B's chains at global indices 25..28; fair
         # round-robin alternates them with A's remaining backlog well
         # inside A's range even allowing for takes that happened
         # before B connected

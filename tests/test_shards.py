@@ -16,16 +16,19 @@ import asyncio
 import json
 import multiprocessing
 import os
+import random
 import signal
+import struct
 import subprocess
 import sys
 import textwrap
 import threading
 import time
+import zlib
 
 import pytest
 
-from repro.chains import square_ring
+from repro.chains import random_chain, square_ring
 from repro.core.admission import QueueSource, feed_queue
 from repro.core.batch import BatchSimulator
 from repro.core.engine_fleet import FleetKernel
@@ -136,6 +139,27 @@ class TestShardConformance:
                                 faults=FaultPlan(**fp),
                                 on_error="quarantine"))
         assert_same(got, ref)
+
+    def test_stream_stats_counters_identical(self):
+        # a mid-run fault crash is a quarantine: the shards count it
+        # under quarantined and mid_crashed, as the kernel does
+        rng = random.Random(5)
+        chains = [random_chain(rng.choice([8, 12, 16, 20]), rng=rng)
+                  for _ in range(60)]
+        chains.insert(30, [(0, 0), (1, 0)])
+        keys = ("admitted", "quarantined", "fault_crashed",
+                "fault_perturbed", "mid_crashed", "mid_restarted")
+        stats = {}
+        for workers in (1, 2):
+            sim = BatchSimulator([], workers=workers, keep_reports=False)
+            outs = list(sim.run_stream(
+                chains, slots=8, on_error="quarantine",
+                faults=FaultPlan(seed=3, mid_crash=0.2, window=4)))
+            stats[workers] = {k: sim.last_stream_stats[k] for k in keys}
+            assert stats[workers]["quarantined"] == \
+                sum(isinstance(p, ChainOutcome) for _, p in outs)
+        assert stats[1] == stats[2]
+        assert stats[1]["mid_crashed"] > 0
 
     def test_poison_raises_in_strict_mode(self):
         from repro.errors import ChainError
@@ -396,10 +420,17 @@ class TestShardService:
             for k in range(10):
                 fh.write(json.dumps({"k": k}) + "\n")
         ref = fleet_reference(chains, slots=8)
-        rows = {k: {"chain": k, "n": ref[k].initial_n,
+
+        def digest(positions):
+            flat = [v for p in positions for v in p]
+            return zlib.crc32(struct.pack(f"<{len(flat)}q", *flat))
+
+        rows = {k: {"kind": "chain", "chain": k, "quarantined": False,
+                    "n": ref[k].initial_n, "final_n": ref[k].final_n,
                     "rounds": ref[k].rounds, "gathered": ref[k].gathered,
                     "rounds_per_robot":
-                    round(ref[k].rounds / ref[k].initial_n, 3)}
+                    round(ref[k].rounds / ref[k].initial_n, 3),
+                    "digest": digest(ref[k].final_positions)}
                 for k in range(10)}
         with open(wal / "results.ndjson", "w") as fh:
             for k in range(3):

@@ -7,6 +7,7 @@ unfaulted run — property-tested here with real SIGKILLed shard workers
 via the REPRO_KILL_SPEC hook.
 """
 
+import dataclasses
 import json
 import os
 
@@ -28,16 +29,19 @@ from repro.errors import (
     QuarantinedChainError,
     WorkerCrashError,
 )
-from repro.io.serialization import result_to_json
 
 import random
 
 
 def canon(result) -> str:
-    """Serialized result with the one nondeterministic field zeroed."""
-    doc = json.loads(result_to_json(result))
-    doc["wall_time"] = 0.0
-    return json.dumps(doc, sort_keys=True)
+    """The result's fields, final positions included, as canonical JSON
+    (wall time, the one nondeterministic field, left out)."""
+    return json.dumps({
+        "gathered": result.gathered, "rounds": result.rounds,
+        "initial_n": result.initial_n, "final_n": result.final_n,
+        "final_positions": [list(p) for p in result.final_positions],
+        "stalled": result.stalled,
+        "params": dataclasses.asdict(result.params)}, sort_keys=True)
 
 
 def ring_stream(count, seed=7):

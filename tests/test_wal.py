@@ -19,14 +19,11 @@ from repro.core.arena import ChainArena
 from repro.core.engine_fleet import FleetKernel
 from repro.core.faults import FaultPlan
 from repro.core.runs import RunRegistry
-from repro.core.simulator import Simulator
 from repro.errors import ChainError, WalError
 from repro.io import (
     WalReader,
     WalWriter,
     load_fleet_snapshot,
-    result_from_json,
-    result_to_json,
     save_fleet_snapshot,
     validate_document,
 )
@@ -309,21 +306,6 @@ class TestVersionMachinery:
                                   "repro.chain")
         finally:
             unregister_migration("repro.chain", 0)
-
-    def test_result_round_trip(self):
-        res = Simulator(square_ring(5), engine="kernel").run()
-        doc = result_from_json(result_to_json(res))
-        assert doc.gathered == res.gathered
-        assert doc.rounds == res.rounds
-        assert doc.final_positions == res.final_positions
-        assert doc.params.k_max == res.params.k_max
-
-    def test_result_unknown_version_rejected(self):
-        res = Simulator(square_ring(5), engine="kernel").run()
-        doc = json.loads(result_to_json(res))
-        doc["version"] = 99
-        with pytest.raises(ChainError):
-            result_from_json(json.dumps(doc))
 
 
 class TestFaultPlan:
