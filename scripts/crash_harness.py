@@ -20,10 +20,14 @@ death.  Five modes:
 
 ``service-kill``
     Run ``repro serve --wal``, submit the stream over TCP, SIGKILL the
-    service at seeded WAL rounds and restart it with ``--resume``;
-    the finished ``results.ndjson`` ledger must be byte-identical to
-    an uninterrupted service's, and the surviving kernel WAL must pass
-    ``repro wal audit`` against the logged admission order (§2.15).
+    service at seeded WAL rounds and restart it with ``--resume``.
+    The finished ``results.ndjson`` ledger must keep every line each
+    killed run had completed, verbatim, hold every chain exactly once,
+    and equal an uninterrupted service's rows chain by chain; the
+    service logs must be consistent (every take a logged accept, none
+    taken twice).  ``repro wal audit`` does not apply: live admission
+    is wire-paced, so re-execution against a file stream admits
+    differently (§2.15).
 
 ``poison``
     Plant invalid chains at seeded stream positions and run with

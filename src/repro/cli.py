@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -134,26 +135,11 @@ def _iter_jsonl_chains(path: str, skip_bad: bool = False, on_bad=None):
             fh.close()
 
 
-def _open_stream_out(path: str, resume: bool):
-    """The NDJSON output file and the stream indices it already holds.
-
-    Delegates to :func:`repro.io.serialization.open_ndjson_ledger`
-    (shared with the service tier, §2.15): on ``--resume`` the torn
-    trailing line is truncated, complete lines' ``chain`` indices join
-    the seen set, and new lines append — the finished file is
-    byte-identical to an uninterrupted run's.
-    """
-    from repro.errors import ChainError
-    from repro.io.serialization import open_ndjson_ledger
-    try:
-        return open_ndjson_ledger(path, resume)
-    except ChainError as exc:
-        raise SystemExit(str(exc))
-
-
 def cmd_batch_stream(args) -> int:
     """Bounded-memory streaming batch: JSONL chains in, results out."""
     from repro.core.batch import BatchSimulator
+    from repro.core.results import ResultLedger
+    from repro.errors import ChainError
     if args.engine != "kernel":
         raise SystemExit("--stream runs on the fleet kernel; it requires "
                          "--engine kernel")
@@ -163,6 +149,12 @@ def cmd_batch_stream(args) -> int:
     if args.resume and args.workers and args.workers > 1:
         raise SystemExit("--resume continues the one top-level log "
                          "in-process; drop --workers")
+    if args.resume:
+        from repro.io.wal import LOG_NAME
+        log = os.path.join(args.wal, LOG_NAME)
+        if not os.path.exists(log):
+            raise SystemExit(f"--resume: no log at {log}; it continues "
+                             f"a single-process --wal run")
     if args.skip_bad_lines and not args.dead_letter:
         raise SystemExit("--skip-bad-lines quarantines rejected input "
                          "lines; it needs --dead-letter FILE")
@@ -173,31 +165,21 @@ def cmd_batch_stream(args) -> int:
             faults = FaultPlan.parse(args.faults)
         except ValueError as exc:
             raise SystemExit(f"--faults: {exc}")
-    dl = None
-    if args.dead_letter:
-        from repro.core.supervisor import DeadLetterWriter
-        dl = DeadLetterWriter(args.dead_letter)
-    bad_lines = [0]
-
-    def on_bad(lineno, exc, raw):
-        bad_lines[0] += 1
-        dl.write({"kind": "bad-line", "line": lineno,
-                  "error": str(exc), "raw": raw[:200]})
-
-    out_fh, seen = (None, set())
-    if args.out:
-        out_fh, seen = _open_stream_out(args.out, args.resume)
     sim = BatchSimulator([], params=_params(args), engine="kernel",
                          check_invariants=args.check, workers=args.workers,
                          keep_reports=False)
+    try:
+        ledger = ResultLedger(args.out, args.resume,
+                              dead_letter=args.dead_letter, compact=False)
+    except ChainError as exc:
+        raise SystemExit(str(exc))
     progress = _batch_progress() if args.progress else None
     chains = _iter_jsonl_chains(args.stream, skip_bad=args.skip_bad_lines,
-                                on_bad=on_bad)
+                                on_bad=ledger.bad_line)
     # a dead-letter ledger turns on the supervision tier (§2.13):
     # poisoned chains quarantine to the ledger instead of aborting
-    on_error = "quarantine" if dl is not None else "raise"
-    total = gathered = rounds = robots = quarantined = 0
-    try:
+    on_error = "quarantine" if args.dead_letter else "raise"
+    with ledger:
         for idx, payload in sim.run_stream(chains, slots=args.slots,
                                            max_rounds=args.max_rounds,
                                            progress=progress,
@@ -206,38 +188,17 @@ def cmd_batch_stream(args) -> int:
                                            faults=faults,
                                            resume=args.resume,
                                            on_error=on_error):
-            row = outcome_row(idx, payload)
-            if row["quarantined"]:
-                # mid-run fault crashes quarantine in strict mode too
-                quarantined += 1
-                if dl is not None:
-                    dl.write(row)
-                continue
-            total += 1
-            gathered += row["gathered"]
-            rounds += row["rounds"]
-            robots += row["n"]
-            # NDJSON, one line per finished chain, in completion order.
-            # The line is flushed *before* the loop re-enters the
-            # generator (which appends the WAL yield record), so a
-            # recorded yield always implies a durable output line.
-            line = json.dumps(row)
-            if out_fh is not None:
-                if idx not in seen:
-                    out_fh.write(line + "\n")
-                    out_fh.flush()
-            elif args.json:
-                print(line, flush=True)
-    finally:
-        if out_fh is not None:
-            out_fh.close()
-        if dl is not None:
-            dl.close()
+            # one NDJSON line per finished chain, in completion order,
+            # durable before the generator appends its WAL yield record
+            # (§2.12); quarantined rows never print
+            row = ledger.write(idx, payload)
+            if args.json and not args.out and not row["quarantined"]:
+                print(json.dumps(row), flush=True)
     stats = sim.last_stream_stats or {}
     extras = ""
-    if dl is not None or quarantined:
-        extras = (f", quarantined={quarantined}, "
-                  f"bad_lines={bad_lines[0]}")
+    if args.dead_letter or ledger.quarantined:
+        extras = (f", quarantined={ledger.quarantined}, "
+                  f"bad_lines={ledger.bad_lines}")
     if "topo_rebuilds" in stats:
         # single-worker streams report the incremental-topology
         # telemetry: delta splices vs full rebuilds plus round rate
@@ -245,11 +206,12 @@ def cmd_batch_stream(args) -> int:
                    f"topo_rebuilds={stats['topo_rebuilds']}, "
                    f"topo_delta_ops={stats['topo_delta_ops']}, "
                    f"topo_delta_cells={stats['topo_delta_cells']}")
-    print(f"{gathered}/{total} gathered, {robots} robots in {rounds} rounds "
-          f"total (slots={args.slots}, workers={sim.workers}, "
+    print(f"{ledger.gathered}/{ledger.total} gathered, {ledger.robots} "
+          f"robots in {ledger.rounds} rounds total (slots={args.slots}, "
+          f"workers={sim.workers}, "
           f"peak_live={stats.get('peak_live_chains', 'n/a')}{extras})")
-    return 0 if gathered == total and not quarantined and not bad_lines[0] \
-        else 2
+    return 0 if ledger.gathered == ledger.total and not ledger.quarantined \
+        and not ledger.bad_lines else 2
 
 
 def cmd_batch(args) -> int:
@@ -511,7 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--resume", action="store_true",
                    help="resume a killed --wal service: replay accepted "
                         "submissions in logged admission order and "
-                        "complete the results ledger byte-identically")
+                        "complete the results ledger, keeping the lines "
+                        "already written and delivering every chain "
+                        "exactly once")
     s.add_argument("--snapshot-every", type=int, default=512,
                    dest="snapshot_every", metavar="R",
                    help="rounds between WAL snapshots (default 512)")

@@ -16,11 +16,9 @@ from repro.core.patterns import (
     is_quasi_line,
     is_stairway,
 )
-from repro.core.results import ChainOutcome
+from repro.core.results import ChainOutcome, ResultLedger
 from repro.core.runs import RunMode, RunRegistry, RunState, StopReason
 from repro.core.simulator import GatheringResult, Simulator, gather
-from repro.core.supervisor import (DeadLetterWriter, StreamSupervisor,
-                                   supervise_stream)
 from repro.core.view import ChainWindow
 
 __all__ = [
@@ -55,7 +53,5 @@ __all__ = [
     "gather",
     "ChainWindow",
     "ChainOutcome",
-    "DeadLetterWriter",
-    "StreamSupervisor",
-    "supervise_stream",
+    "ResultLedger",
 ]

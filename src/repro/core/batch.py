@@ -342,12 +342,15 @@ class BatchSimulator:
                 from repro.io.wal import WalWriter
                 wal = WalWriter(wal_dir)
             self.stream_kernel = kernel
-            yield from kernel.run_stream(stream, slots=slots,
-                                         max_rounds=max_rounds,
-                                         progress=progress, release=True,
-                                         wal=wal,
-                                         snapshot_every=snapshot_every,
-                                         faults=faults, on_error=on_error)
+            try:
+                yield from kernel.run_stream(
+                    stream, slots=slots, max_rounds=max_rounds,
+                    progress=progress, release=True, wal=wal,
+                    snapshot_every=snapshot_every, faults=faults,
+                    on_error=on_error)
+            finally:
+                if wal is not None:
+                    wal.close()
         arena = kernel.arena
         elapsed = _time.perf_counter() - t0
         self.last_stream_stats = {

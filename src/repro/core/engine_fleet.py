@@ -1079,12 +1079,14 @@ class FleetKernel:
 
         Restores the newest snapshot, fast-forwards the (freshly
         re-created) ``chains`` iterator to the recorded admission
-        cursor, truncates any torn log tail and returns ``(kernel,
-        generator)`` — the generator continues the stream through the
+        cursor and returns ``(kernel, generator)``.  On its first step
+        the generator truncates any torn log tail and appends a
+        ``resume`` record; it then continues the stream through the
         one engine code path, so the continuation is bit-identical to
         the uninterrupted run; results delivered before the crash are
         re-executed but not re-yielded (yield records after the
-        snapshot form the skip set).
+        snapshot form the skip set).  It closes its log writer when it
+        is exhausted or abandoned.
         """
         from repro.core.faults import FaultPlan
         from repro.io.wal import WalReader, load_fleet_snapshot
@@ -1107,21 +1109,27 @@ class FleetKernel:
                     f"{wal_dir}: chain stream ended after {k} entries but "
                     f"the log recorded {consumed} consumed — resume needs "
                     f"the same stream the crashed run was fed") from None
-        writer = reader.continue_writing()
-        writer.append("resume", snapshot_lsn=snap["lsn"],
-                      r=kernel.round_index)
         fd = start.get("faults")
         faults = FaultPlan.from_doc(fd) if fd else None
         mr = stream["max_rounds"]
-        gen = kernel.run_stream(
-            it, slots=stream["slots"],
-            max_rounds=None if mr is None else int(mr),
-            progress=progress, release=bool(stream["release"]),
-            wal=writer, snapshot_every=int(stream["snapshot_every"]),
-            faults=faults, on_error=str(stream.get("on_error", "raise")),
-            _resume=(bool(stream["exhausted"]), int(stream["done"]),
-                     consumed, skip))
-        return kernel, gen
+
+        def continued():
+            writer = reader.continue_writing()
+            try:
+                writer.append("resume", snapshot_lsn=snap["lsn"],
+                              r=kernel.round_index)
+                yield from kernel.run_stream(
+                    it, slots=stream["slots"],
+                    max_rounds=None if mr is None else int(mr),
+                    progress=progress, release=bool(stream["release"]),
+                    wal=writer, snapshot_every=int(stream["snapshot_every"]),
+                    faults=faults,
+                    on_error=str(stream.get("on_error", "raise")),
+                    _resume=(bool(stream["exhausted"]), int(stream["done"]),
+                             consumed, skip))
+            finally:
+                writer.close()
+        return kernel, continued()
 
     @classmethod
     def resume(cls, wal_dir: str, chains: Union[Sequence, object] = (),

@@ -89,39 +89,6 @@ def validate_document(doc: Any, fmt: str) -> dict:
     return doc
 
 
-def open_ndjson_ledger(path: str, resume: bool, key: str = "chain"):
-    """Open an append-only NDJSON results ledger; return ``(fh, seen)``.
-
-    The exactly-once delivery ledger shared by ``repro batch --stream
-    --out`` and the service tier (§2.12/§2.15).  With ``resume`` the
-    existing file is authoritative: a torn trailing line — the crash
-    window between a write starting and its flush completing — is
-    truncated away, every complete line's ``key`` field joins the
-    ``seen`` set (the writer skips those indices), and new lines
-    append, so the finished file is byte-identical to an uninterrupted
-    run's.  A complete line that fails to parse is corruption, not a
-    crash artefact, and raises :class:`ChainError`.
-    """
-    import os
-    seen = set()
-    if resume and os.path.exists(path):
-        with open(path, "rb") as fh:
-            data = fh.read()
-        keep = data.rfind(b"\n") + 1
-        for line in data[:keep].splitlines():
-            if line.strip():
-                try:
-                    seen.add(json.loads(line)[key])
-                except (ValueError, KeyError) as exc:
-                    raise ChainError(f"{path}: corrupt NDJSON line "
-                                     f"cannot be resumed: {exc}")
-        if keep < len(data):
-            with open(path, "r+b") as fh:
-                fh.truncate(keep)
-        return open(path, "a", encoding="utf-8"), seen
-    return open(path, "w", encoding="utf-8"), seen
-
-
 def chain_to_json(chain: ClosedChain) -> str:
     """Serialize a chain (positions in chain order)."""
     doc = {

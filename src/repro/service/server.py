@@ -23,21 +23,24 @@ Durability (``wal_dir``): three logs alongside the kernel's own WAL —
     the fair interleaving, which is what the kernel's WAL cursor
     counts.
 ``results.ndjson``
-    the exactly-once delivery ledger (§2.12), written in the kernel
-    thread *before* the generator is re-entered, so a recorded WAL
-    yield always implies a durable ledger line.
+    the results ledger (§2.12): every row, quarantined ones included,
+    written through :class:`~repro.core.results.ResultLedger` in the
+    kernel thread *before* the generator is re-entered, so a recorded
+    WAL yield always implies a durable ledger line.
 
-A killed service resumes with ``resume=True``: accepted submissions
-are replayed to the queue in logged intake order (then any never-taken
-accepts in accept order), the kernel restores its snapshot and
-fast-forwards through the replay, and the ledger dedupes re-yields —
-the finished ``results.ndjson`` is byte-identical to an uninterrupted
-run's.  Resumed entries have no live client; they complete into the
-ledger only.  ``service.json`` records the worker count, so a killed
-``--workers K`` service restores its full shard set (the queue is an
-admission source, so ``run_stream`` runs it on the shard tier,
-§2.16) — there the shards re-run the replay deterministically from
-scratch and the ledger dedup alone provides exactly-once.
+A killed service resumes with ``resume=True``: each log's torn tail is
+cut, accepted submissions are replayed to the queue in logged intake
+order (then any never-taken accepts in accept order), the kernel
+restores its snapshot and fast-forwards through the replay, and the
+ledger skips the indices it already holds.  The lines completed
+before the kill stay verbatim, every chain lands exactly once and
+each row equals a clean run's (§2.15); resumed entries have no live
+client and complete into the ledger only.  ``service.json`` records
+the worker count, so a killed ``--workers K`` service restores its
+full shard set (the queue is an admission source, so ``run_stream``
+runs it on the shard tier, §2.16) — there the shards re-run the
+replay deterministically from scratch and the ledger's skip alone
+provides exactly-once.
 
 Result frames are written without awaiting ``drain()`` (they originate
 on the kernel thread); a client that stops reading accumulates server
@@ -53,7 +56,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import DEFAULT_PARAMETERS, Parameters
-from repro.core.results import outcome_row
+from repro.core.results import ResultLedger, read_ndjson
 from repro.service.protocol import (MAX_CHAIN, MAX_LINE, PROTOCOL_VERSION,
                                     ProtocolError, encode_frame,
                                     parse_positions, read_frames)
@@ -80,17 +83,6 @@ class _Client:
         self.delivered = 0   # result/quarantined frames pushed back
         self.draining = False
         self.bad_lines = 0
-
-
-def _load_jsonl(path: str) -> List[dict]:
-    """Complete lines of a crash-prone JSONL log (torn tail dropped)."""
-    if not os.path.exists(path):
-        return []
-    with open(path, "rb") as fh:
-        data = fh.read()
-    keep = data.rfind(b"\n") + 1
-    return [json.loads(line) for line in data[:keep].splitlines()
-            if line.strip()]
 
 
 class GatherService:
@@ -134,8 +126,7 @@ class GatherService:
         self._accept_index = 0
         self._subs_fh = None
         self._intake_fh = None
-        self._ledger_fh = None
-        self._ledger_seen = set()
+        self._ledger: Optional[ResultLedger] = None
         self._finished = None
         self._shutting_down = False
         self._t0 = 0.0
@@ -152,12 +143,12 @@ class GatherService:
 
     async def _start(self) -> None:
         from repro.core.batch import BatchSimulator
-        from repro.io.serialization import open_ndjson_ledger
         self._loop = asyncio.get_running_loop()
         self._finished = asyncio.Event()
         self._t0 = time.monotonic()
 
         replay: List[Tuple[Optional[int], object, bool]] = []
+        ledger_path = None
         if self.wal_dir is not None:
             os.makedirs(self.wal_dir, exist_ok=True)
             subs_path = os.path.join(self.wal_dir, SUBMISSIONS_LOG)
@@ -176,8 +167,8 @@ class GatherService:
                     fh.write("\n")
             if self.resume:
                 accepts = [[tuple(p) for p in doc["chain"]]
-                           for doc in _load_jsonl(subs_path)]
-                takes = [int(doc["k"]) for doc in _load_jsonl(intake_path)
+                           for doc in read_ndjson(subs_path)]
+                takes = [int(doc["k"]) for doc in read_ndjson(intake_path)
                          if int(doc["k"]) < len(accepts)]
                 taken = set(takes)
                 # logged takes replay in admission order (the kernel's
@@ -190,8 +181,8 @@ class GatherService:
             mode = "a" if self.resume else "w"
             self._subs_fh = open(subs_path, mode, encoding="utf-8")
             self._intake_fh = open(intake_path, mode, encoding="utf-8")
-            self._ledger_fh, self._ledger_seen = open_ndjson_ledger(
-                os.path.join(self.wal_dir, RESULTS_LEDGER), self.resume)
+            ledger_path = os.path.join(self.wal_dir, RESULTS_LEDGER)
+        self._ledger = ResultLedger(ledger_path, self.resume)
 
         self.queue = FairAdmissionQueue(
             capacity=self.queue_capacity, loop=self._loop,
@@ -234,7 +225,7 @@ class GatherService:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for fh in (self._subs_fh, self._intake_fh, self._ledger_fh):
+        for fh in (self._subs_fh, self._intake_fh, self._ledger):
             if fh is not None:
                 fh.close()
 
@@ -268,14 +259,9 @@ class GatherService:
                 wal_dir=self.wal_dir, snapshot_every=self.snapshot_every,
                 resume=resume, on_error="quarantine")
             for idx, payload in gen:
-                row = outcome_row(idx, payload)
-                if self._ledger_fh is not None \
-                        and idx not in self._ledger_seen:
-                    # durable before the generator is re-entered: a WAL
-                    # yield record always implies a ledger line (§2.12)
-                    self._ledger_fh.write(
-                        json.dumps(row, separators=(",", ":")) + "\n")
-                    self._ledger_fh.flush()
+                # durable before the generator is re-entered: a WAL
+                # yield record always implies a ledger line (§2.12)
+                row = self._ledger.write(idx, payload)
                 self._loop.call_soon_threadsafe(self._deliver, idx, row)
         except BaseException as exc:  # noqa: BLE001 — surfaced to caller
             self.kernel_error = exc

@@ -223,13 +223,15 @@ class TestSupervisedStream:
         assert "quarantined=1" in capsys.readouterr().out
         docs = [json.loads(s) for s in dl.read_text().splitlines()]
         assert docs[0]["chain"] == 1 and docs[0]["quarantined"]
-        # quarantined chains never reach the results ledger
+        # with a dead letter open, quarantined chains stay out of the
+        # results ledger (without one they are written to --out)
         rows = [json.loads(s) for s in out_file.read_text().splitlines()]
         assert sorted(r["chain"] for r in rows) == [0, 2]
 
     def test_mid_run_crash_without_dead_letter(self, tmp_path, capsys):
         # injected mid-run crashes come back quarantined in strict mode
-        # too; with no dead letter they are only counted
+        # too; with no dead letter and no --out they are only counted,
+        # and quarantined rows never print
         path = self._write_jsonl(tmp_path, [square_ring(8)] * 4)
         rc = main(["batch", "--stream", path, "--json", "--faults",
                    "seed=3,mid_crash=1.0,window=2"])
@@ -238,6 +240,24 @@ class TestSupervisedStream:
         assert "0/0 gathered" in out and "quarantined=4" in out
         assert not [line for line in out.splitlines()
                     if line.startswith("{")]
+
+    def test_resume_without_log_exits_with_one_line(self, tmp_path, capsys):
+        # a mistyped directory, and the directory of a --workers run,
+        # which holds only shard-<k>/ logs
+        path = self._write_jsonl(tmp_path, [square_ring(8)] * 3)
+        sharded = tmp_path / "sharded"
+        assert main(["batch", "--stream", path, "--wal", str(sharded),
+                     "--workers", "2"]) == 0
+        assert sorted(p.name for p in sharded.iterdir()) == \
+            ["shard-0", "shard-1"]
+        out = tmp_path / "out.ndjson"
+        for wal in (tmp_path / "typo", sharded):
+            with pytest.raises(SystemExit) as exc:
+                main(["batch", "--stream", path, "--wal", str(wal),
+                      "--resume", "--out", str(out)])
+            msg = str(exc.value)
+            assert str(wal / "wal.ndjson") in msg and "\n" not in msg
+            assert not out.exists()
 
     def test_wal_audit_clean_and_tampered(self, tmp_path, capsys):
         path = self._write_jsonl(

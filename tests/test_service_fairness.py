@@ -10,8 +10,9 @@ Three contracts:
   client's trickle: takes round-robin across clients, so a late
   joiner's results land within a bounded window of its submissions;
 * a SIGKILLed ``repro serve --wal`` process, restarted with
-  ``--resume``, completes a ``results.ndjson`` byte-identical to an
-  uninterrupted run's.
+  ``--resume``, completes its ``results.ndjson``: the lines written
+  before the kill are kept verbatim, every chain is delivered exactly
+  once, and each row equals an uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -165,6 +166,10 @@ class TestFairness:
 
 class TestServiceKillResume:
     N = 30
+    #: RING8s, then two long chains at the tail: the kill after seven
+    #: results lands mid-stream by construction, as the long chains
+    #: are still running however fast the kernel gets through the rest
+    CHAINS = [RING8] * (N - 2) + [RING_LONG] * 2
 
     def _start(self, tmp_path, extra):
         env = dict(os.environ)
@@ -174,10 +179,26 @@ class TestServiceKillResume:
              "--slots", "4", "--snapshot-every", "8"] + extra,
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, env=env, cwd=os.getcwd())
+        self._procs.append(proc)
         line = proc.stdout.readline()
         assert "serving on" in line, line
         port = int(line.split("(")[0].rsplit(":", 1)[1])
         return proc, port
+
+    def setup_method(self, method):
+        self._procs = []
+
+    def teardown_method(self, method):
+        for proc in self._procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=60)
+            proc.stdout.close()
+
+    @staticmethod
+    def _read(path):
+        with open(path, "rb") as fh:
+            return fh.read()
 
     def test_sigkill_resume_ledger_byte_identical(self, tmp_path):
         clean = str(tmp_path / "clean")
@@ -185,8 +206,8 @@ class TestServiceKillResume:
 
         async def feed(port, read_results, shutdown):
             cli = await GatherClient.connect("127.0.0.1", port)
-            for _ in range(self.N):
-                await cli.submit(RING8)
+            for chain in self.CHAINS:
+                await cli.submit(chain)
             for _ in range(read_results):
                 await cli.next_result(timeout=60)
             if shutdown:
@@ -207,18 +228,17 @@ class TestServiceKillResume:
         proc, port = self._start(tmp_path, ["--wal", clean])
         run(feed(port, 0, shutdown=True))
         assert proc.wait(timeout=60) == 0
-        ref_rows = [json.loads(l) for l in
-                    open(os.path.join(clean, "results.ndjson"), "rb")
-                    .read().splitlines()]
+        ref_rows = [json.loads(l) for l in self._read(
+            os.path.join(clean, "results.ndjson")).splitlines()]
         assert len(ref_rows) == self.N
 
-        # kill mid-stream: some results delivered, backlog + parked
-        # work outstanding
+        # kill mid-stream: some results delivered, the long chains
+        # still running
         proc, port = self._start(tmp_path, ["--wal", killed])
         run(feed(port, 7, shutdown=False))
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait(timeout=60)
-        pre = open(os.path.join(killed, "results.ndjson"), "rb").read()
+        pre = self._read(os.path.join(killed, "results.ndjson"))
         pre = pre[:pre.rfind(b"\n") + 1]  # drop any torn trailing line
         assert 0 < len(pre.splitlines()) < self.N
 
@@ -228,7 +248,7 @@ class TestServiceKillResume:
         proc, port = self._start(tmp_path, ["--wal", killed, "--resume"])
         run(shutdown_only(port))
         assert proc.wait(timeout=120) == 0
-        got = open(os.path.join(killed, "results.ndjson"), "rb").read()
+        got = self._read(os.path.join(killed, "results.ndjson"))
         assert got.startswith(pre)
         rows = [json.loads(l) for l in got.splitlines()]
         assert sorted(r["chain"] for r in rows) == list(range(self.N))

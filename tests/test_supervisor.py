@@ -4,7 +4,10 @@ Worker kills, poison chains, mid-run robot faults and intake
 corruption must never abort a supervised stream, and the surviving
 good chains must be *bit-identical* (wall time excepted) to an
 unfaulted run — property-tested here with real SIGKILLed shard workers
-via the REPRO_KILL_SPEC hook.
+via the REPRO_KILL_SPEC hook.  A supervised stream is
+``BatchSimulator.run_stream(on_error="quarantine")`` consumed through a
+:class:`~repro.core.results.ResultLedger`, as ``repro batch --stream
+--dead-letter`` consumes it.
 """
 
 import dataclasses
@@ -15,15 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chains import random_chain, square_ring
+from repro.core.batch import BatchSimulator
 from repro.core.engine_fleet import FleetKernel
 from repro.core.faults import FaultPlan
-from repro.core.results import ChainOutcome
+from repro.core.results import ChainOutcome, ResultLedger
 from repro.core.shards import KILL_SPEC_ENV, shard_stream
-from repro.core.supervisor import (
-    DeadLetterWriter,
-    StreamSupervisor,
-    supervise_stream,
-)
 from repro.errors import (
     InvariantViolation,
     QuarantinedChainError,
@@ -53,11 +52,28 @@ def ring_stream(count, seed=7):
 POISON = [(0, 0), (1, 0)]          # fails closed-chain validation
 
 
+def supervised(chains, workers=1, check_invariants=False, dead_letter=None,
+               **stream):
+    """Run ``chains`` with ``on_error="quarantine"`` through a ledger;
+    return the :class:`ChainOutcome` of every index, the stream stats
+    and the ledger."""
+    sim = BatchSimulator([], workers=workers, keep_reports=False,
+                         check_invariants=check_invariants)
+    outs = {}
+    with ResultLedger(dead_letter=dead_letter) as ledger:
+        for idx, payload in sim.run_stream(chains, on_error="quarantine",
+                                           **stream):
+            ledger.write(idx, payload)
+            outs[idx] = (payload if isinstance(payload, ChainOutcome)
+                         else ChainOutcome(index=idx, result=payload))
+    return outs, sim.last_stream_stats, ledger
+
+
 @pytest.fixture
 def baseline():
     chains = ring_stream(24)
-    ref = {o.index: canon(o.result)
-           for o in StreamSupervisor(slots=6).run(chains)}
+    ref = {i: canon(o.result)
+           for i, o in supervised(chains, slots=6)[0].items()}
     return chains, ref
 
 
@@ -85,9 +101,8 @@ class TestQuarantineInProcess:
     def test_poison_admission_quarantined(self, tmp_path, baseline):
         chains, ref = baseline
         dl = tmp_path / "dead.ndjson"
-        sup = StreamSupervisor(slots=6, dead_letter=str(dl))
-        outs = {o.index: o for o in
-                sup.run(chains[:10] + [POISON] + chains[10:])}
+        outs, _, ledger = supervised(chains[:10] + [POISON] + chains[10:],
+                                     slots=6, dead_letter=str(dl))
         assert len(outs) == len(chains) + 1
         bad = outs[10]
         assert bad.quarantined and bad.error == "ChainError" \
@@ -95,7 +110,7 @@ class TestQuarantineInProcess:
         # the dead letter carries the same structured record
         docs = [json.loads(line) for line in dl.read_text().splitlines()]
         assert docs == [bad.to_doc()]
-        assert sup.stats["quarantined_total"] == 1
+        assert ledger.quarantined == 1
         # survivors shift by one stream position past the poison entry
         for i, o in outs.items():
             if o.ok:
@@ -132,8 +147,7 @@ class TestQuarantineInProcess:
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(FleetKernel, "_check_invariants", boom)
-        sup = StreamSupervisor(slots=6, check_invariants=True)
-        outs = {o.index: o for o in sup.run(chains)}
+        outs, _, _ = supervised(chains, slots=6, check_invariants=True)
         bad = [o for o in outs.values() if not o.ok]
         assert len(bad) == 1 and bad[0].error == "InvariantViolation" \
             and bad[0].stage == "round"
@@ -142,13 +156,12 @@ class TestQuarantineInProcess:
                 assert canon(o.result) == ref[i]
 
     def test_dead_letter_accumulates(self, tmp_path):
-        dl = DeadLetterWriter(str(tmp_path / "dl.ndjson"))
-        dl.write({"kind": "bad-line", "line": 4, "error": "x", "raw": "!"})
-        dl.write_outcome(ChainOutcome(index=1, error="E", quarantined=True))
-        dl.close()
-        dl2 = DeadLetterWriter(str(tmp_path / "dl.ndjson"))
-        dl2.write({"kind": "bad-line", "line": 9, "error": "y", "raw": "?"})
-        dl2.close()
+        path = str(tmp_path / "dl.ndjson")
+        with ResultLedger(dead_letter=path) as dl:
+            dl.bad_line(4, "x", "!")
+            dl.write(1, ChainOutcome(index=1, error="E", quarantined=True))
+        with ResultLedger(dead_letter=path) as dl2:
+            dl2.bad_line(9, "y", "?")
         lines = (tmp_path / "dl.ndjson").read_text().splitlines()
         assert len(lines) == 3 and json.loads(lines[0])["line"] == 4
 
@@ -165,8 +178,7 @@ class TestMidRunFaults:
     def test_mid_crash_quarantines_mid_restart_degrades(self, baseline):
         chains, ref = baseline
         plan = FaultPlan(seed=10, mid_crash=0.15, mid_restart=0.15, window=4)
-        sup = StreamSupervisor(slots=6, faults=plan)
-        outs = {o.index: o for o in sup.run(chains)}
+        outs, stats, _ = supervised(chains, slots=6, faults=plan)
         crashed = {i for i, o in outs.items() if o.error == "FaultCrash"}
         # a fault only fires while its chain is still running: a chain
         # that gathers before the trigger round retires untouched
@@ -176,8 +188,8 @@ class TestMidRunFaults:
             if kind == "mid_crash" and trig < json.loads(ref[i])["rounds"]:
                 expect_crash.add(i)
         assert crashed == expect_crash
-        assert sup.stats["mid_crashed"] == len(crashed)
-        assert sup.stats["mid_restarted"] > 0
+        assert stats["mid_crashed"] == len(crashed)
+        assert stats["mid_restarted"] > 0
         # restarted chains still finish (their rounds differ from ref)
         assert all(o.ok for i, o in outs.items() if i not in crashed)
         # untouched chains stay bit-identical
@@ -188,11 +200,11 @@ class TestMidRunFaults:
     def test_mid_faults_identical_across_pool(self, baseline):
         chains, _ = baseline
         plan = FaultPlan(seed=5, mid_crash=0.1, mid_restart=0.2, window=4)
-        solo = {o.index: (o.error, o.ok and canon(o.result))
-                for o in StreamSupervisor(slots=6, faults=plan).run(chains)}
-        sharded = {o.index: (o.error, o.ok and canon(o.result))
-                   for o in StreamSupervisor(slots=6, workers=2,
-                                             faults=plan).run(chains)}
+        solo = {i: (o.error, o.ok and canon(o.result)) for i, o in
+                supervised(chains, slots=6, faults=plan)[0].items()}
+        sharded = {i: (o.error, o.ok and canon(o.result)) for i, o in
+                   supervised(chains, workers=2, slots=6,
+                              faults=plan)[0].items()}
         assert solo == sharded
 
 
@@ -207,10 +219,11 @@ class TestIntakeFaults:
         plan = FaultPlan(seed=3, perturb=1.0)
 
         def outcomes(workers, chains):
-            sup = StreamSupervisor(slots=4, workers=workers, faults=plan)
-            return {o.index: (o.error, o.message, o.stage,
-                              o.ok and canon(o.result))
-                    for o in sup.run(chains)}
+            outs, _, _ = supervised(chains, workers=workers, slots=4,
+                                    faults=plan)
+            return {i: (o.error, o.message, o.stage,
+                        o.ok and canon(o.result))
+                    for i, o in outs.items()}
 
         solo = outcomes(1, stream)
         assert sorted(solo) == [0, 1, 2]
@@ -241,34 +254,32 @@ class TestSupervisedPool:
         import pathlib
         import tempfile
         chains = ring_stream(16, seed=seed)
-        ref = {o.index: canon(o.result)
-               for o in StreamSupervisor(slots=8).run(chains)}
+        ref = {i: canon(o.result)
+               for i, o in supervised(chains, slots=8)[0].items()}
         target = seed % len(chains)
         tmp = pathlib.Path(tempfile.mkdtemp(prefix="sup-kill-"))
         self._arm(tmp, kills, target)
         try:
-            sup = StreamSupervisor(slots=8, workers=2,
-                                   wal_dir=str(tmp / "wal"))
-            outs = {o.index: o for o in sup.run(chains)}
+            outs, stats, _ = supervised(chains, workers=2, slots=8,
+                                        wal_dir=str(tmp / "wal"))
         finally:
             os.environ.pop(KILL_SPEC_ENV, None)
-        assert sup.stats["respawns"] >= 1         # the hook really fired
+        assert stats["respawns"] >= 1             # the hook really fired
         assert sorted(outs) == list(range(len(chains)))
         assert all(o.ok for o in outs.values())
         assert {i: canon(o.result) for i, o in outs.items()} == ref
 
     def test_poison_worker_isolated_then_quarantined(self, tmp_path):
         chains = ring_stream(12)
-        ref = {o.index: canon(o.result)
-               for o in StreamSupervisor(slots=4).run(chains)}
+        ref = {i: canon(o.result)
+               for i, o in supervised(chains, slots=4)[0].items()}
         self._arm(tmp_path, -1, 5)                # never disarms
-        sup = StreamSupervisor(slots=4, workers=2)
-        outs = {o.index: o for o in sup.run(chains)}
+        outs, stats, _ = supervised(chains, workers=2, slots=4)
         bad = {i for i, o in outs.items() if not o.ok}
         assert bad == {5}
         assert outs[5].error == "WorkerCrashError" \
             and outs[5].stage == "worker"
-        assert sup.stats["quarantined"] == 1
+        assert stats["quarantined"] == 1
         for i, o in outs.items():
             if o.ok:
                 assert canon(o.result) == ref[i]
@@ -283,9 +294,8 @@ class TestSupervisedPool:
     def test_pool_poison_chain_quarantined(self, tmp_path, baseline):
         chains, ref = baseline
         dl = tmp_path / "dead.ndjson"
-        outs = {o.index: o for o in supervise_stream(
-            chains[:6] + [POISON] + chains[6:], slots=8, workers=2,
-            dead_letter=str(dl))}
+        outs, _, _ = supervised(chains[:6] + [POISON] + chains[6:],
+                                workers=2, slots=8, dead_letter=str(dl))
         assert not outs[6].ok and outs[6].stage == "admit"
         assert len([o for o in outs.values() if o.ok]) == len(chains)
         docs = [json.loads(line) for line in dl.read_text().splitlines()]
@@ -302,8 +312,8 @@ class TestShardedWalRestrictions:
 
     def test_shard_dirs_created_per_worker(self, tmp_path):
         wal = tmp_path / "wal"
-        outs = {o.index: o for o in supervise_stream(
-            ring_stream(10), slots=4, workers=2, wal_dir=str(wal))}
+        outs, _, _ = supervised(ring_stream(10), workers=2, slots=4,
+                                wal_dir=str(wal))
         assert len(outs) == 10 and all(o.ok for o in outs.values())
         shards = sorted(p.name for p in wal.iterdir())
         assert shards == ["shard-0", "shard-1"]

@@ -8,8 +8,11 @@ the uninterrupted run.  Crashes here abandon the generator mid-flight
 variant lives in ``scripts/crash_harness.py`` and CI).
 """
 
+import gc
 import json
+import os
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +50,19 @@ def _collect_dedup(results, gen):
             assert prev.final_positions == res.final_positions
         results[ext] = res
     return results
+
+
+def _wal_fds(wal_dir):
+    """This process's open descriptors on ``wal_dir``'s log."""
+    log = os.path.realpath(os.path.join(wal_dir, "wal.ndjson"))
+    fds = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            if os.readlink(f"/proc/self/fd/{fd}") == log:
+                fds.append(fd)
+        except OSError:
+            pass                         # closed while listing
+    return fds
 
 
 def _assert_same(clean, recovered):
@@ -277,6 +293,38 @@ class TestBatchWiring:
             assert sharded[ext].reports == solo[ext].reports
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["shard-0", "shard-1"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="lists descriptors through /proc")
+    def test_stream_closes_its_wal(self, tmp_path):
+        # fresh and resumed streams, abandoned and exhausted: each
+        # closes its log writer when it ends, not the collector
+        pts = _stream_pts(24, seed=4)
+        sims = []                 # keep the kernels, and their writers
+
+        def stream(wal_dir, resume, steps=None):
+            sim = BatchSimulator([], engine="kernel", keep_reports=False)
+            sims.append(sim)
+            gen = sim.run_stream(iter(pts), slots=4, wal_dir=wal_dir,
+                                 snapshot_every=3, resume=resume)
+            if steps is None:
+                list(gen)
+            else:
+                for _ in range(steps):
+                    next(gen)
+                gen.close()
+            assert _wal_fds(wal_dir) == []
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            killed = str(tmp_path / "killed")
+            stream(killed, resume=False, steps=5)
+            stream(killed, resume=True, steps=4)
+            stream(killed, resume=True)
+            stream(str(tmp_path / "clean"), resume=False)
+            del sims[:]
+            gc.collect()
+        assert not [w for w in caught if "wal.ndjson" in str(w.message)]
 
     def test_resume_requires_wal_dir(self):
         sim = BatchSimulator([], engine="kernel")
