@@ -3,31 +3,34 @@
 
 Proves the durability contract of DESIGN.md §2.12 and the supervision
 contract of §2.13 end to end, through the real CLI and real process
-death.  Five modes:
+death.  Kills are timed on result rows: a kill target is a count of
+complete lines in the run's results ledger (``--out`` or
+``results.ndjson``, across resumes).  A target of 0 waits for the
+first ``snapshot`` record in the kernel's resume log instead, so a
+kill can land after the stream started but before its first result.
+Five modes:
 
 ``cli-kill`` (default)
-    SIGKILL the whole CLI process at seeded WAL rounds, ``--resume``
+    SIGKILL the whole CLI process at seeded row counts, ``--resume``
     after each kill, and byte-compare the recovered NDJSON against an
-    uninterrupted run's.  Finishes with ``repro wal audit`` over the
-    surviving log.
+    uninterrupted run's.  Every row carries a final-position digest,
+    so the comparison also checks where each chain gathered.
 
 ``worker-kill``
-    Run a multi-worker batch stream (``--workers --wal``, the shard
-    tier) and SIGKILL individual *shard workers* (found via /proc) at
-    seeded shard-WAL rounds.  The run itself must complete rc=0 with
+    Run a multi-worker batch stream (``--workers``, the shard tier)
+    and SIGKILL individual *shard workers* (found via /proc) at seeded
+    row counts of ``--out``.  The run itself must complete rc=0 with
     zero lost or duplicated results and per-chain output identical to
     the unfaulted run's.
 
 ``service-kill``
     Run ``repro serve --wal``, submit the stream over TCP, SIGKILL the
-    service at seeded WAL rounds and restart it with ``--resume``.
-    The finished ``results.ndjson`` ledger must keep every line each
-    killed run had completed, verbatim, hold every chain exactly once,
-    and equal an uninterrupted service's rows chain by chain; the
-    service logs must be consistent (every take a logged accept, none
-    taken twice).  ``repro wal audit`` does not apply: live admission
-    is wire-paced, so re-execution against a file stream admits
-    differently (§2.15).
+    service at seeded row counts of its ledger and restart it with
+    ``--resume``.  The finished ``results.ndjson`` ledger must keep
+    every line each killed run had completed, verbatim, hold every
+    chain exactly once, and equal an uninterrupted service's rows
+    chain by chain; the service logs must be consistent (every take a
+    logged accept, none taken twice).
 
 ``poison``
     Plant invalid chains at seeded stream positions and run with
@@ -48,10 +51,11 @@ death.  Five modes:
 ``shard-kill``
     Run ``repro serve --workers --wal`` (the shard tier, §2.16), submit
     the stream over TCP and SIGKILL individual *shard workers* at
-    seeded shard-WAL rounds.  The service must respawn each shard and
-    re-feed its in-flight chains: it exits rc=0 after the feeder's
-    shutdown, with every chain exactly once in ``results.ndjson`` and
-    rows identical to a clean ``--workers 1`` service run's.
+    seeded row counts of ``results.ndjson``.  The service must respawn
+    each shard and re-feed its in-flight chains: it exits rc=0 after
+    the feeder's shutdown, with every chain exactly once in
+    ``results.ndjson`` and rows identical to a clean ``--workers 1``
+    service run's.
 
 Every row these modes compare is a result row (DESIGN.md §2.15) and
 carries a digest of the chain's final positions, so each comparison
@@ -81,6 +85,13 @@ import threading
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Kill targets, in result rows: whole-process kills (cli-kill,
+#: service-kill) are drawn from [0, PROCESS_KILL_ROWS), worker kills
+#: (worker-kill, shard-kill) from [1, WORKER_KILL_ROWS] — early in the
+#: stream, while the first slot loads are in flight.
+PROCESS_KILL_ROWS = 8
+WORKER_KILL_ROWS = 12
 
 
 def make_stream(path: str, chains: int, seed: int) -> None:
@@ -113,36 +124,38 @@ def batch_cmd(jsonl: str, out: str, slots: int, wal: str | None,
     return cmd
 
 
-def wal_round(log: str) -> int:
-    """Highest round index recorded so far (-1 before the first)."""
+def rows_written(ledger: str) -> int:
+    """Complete result rows in an NDJSON ledger (0 before it exists)."""
+    try:
+        with open(ledger, "rb") as fh:
+            return fh.read().count(b"\n")
+    except OSError:
+        return 0
+
+
+def snapshot_logged(log: str) -> bool:
+    """Whether the kernel resume log holds a ``snapshot`` record."""
     try:
         with open(log, "rb") as fh:
             data = fh.read()
     except OSError:
-        return -1
-    last = -1
+        return False
     for line in data[:data.rfind(b"\n") + 1].splitlines():
         try:
-            doc = json.loads(line)
+            if json.loads(line).get("type") == "snapshot":
+                return True
         except ValueError:
             continue
-        if doc.get("type") == "round":
-            last = doc["r"]
-    return last
+    return False
 
 
-def shard_round(wal_dir: str) -> int:
-    """Highest round logged by any shard sub-WAL under ``wal_dir``."""
-    best = -1
-    try:
-        entries = os.listdir(wal_dir)
-    except OSError:
-        return best
-    for name in entries:
-        if name.startswith("shard-"):
-            best = max(best, wal_round(os.path.join(wal_dir, name,
-                                                    "wal.ndjson")))
-    return best
+def reached(target: int, ledger: str, log: str | None = None) -> bool:
+    """The kill clock: ``ledger`` holds ``target`` rows, or, for a
+    target of 0 with a kernel resume ``log``, the log holds a
+    snapshot."""
+    if target == 0 and log is not None:
+        return snapshot_logged(log)
+    return rows_written(ledger) >= target
 
 
 def child_pids(pid: int) -> list:
@@ -186,11 +199,12 @@ def require_digest(rows: list) -> list:
 # ----------------------------------------------------------------------
 # mode: cli-kill (§2.12 resume)
 # ----------------------------------------------------------------------
-def run_until_round(cmd: list, env: dict, log: str, target: int) -> str:
-    """Run ``cmd``; SIGKILL it once the WAL reaches round ``target``.
+def run_until_rows(cmd: list, env: dict, out: str, log: str,
+                   target: int) -> str:
+    """Run ``cmd``; SIGKILL it once the kill clock reaches ``target``.
 
     Returns 'killed' or 'finished' (the run completed before the
-    target round was reached — possible near the stream's tail).
+    target was reached — possible near the stream's tail).
     """
     proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.PIPE)
@@ -202,7 +216,7 @@ def run_until_round(cmd: list, env: dict, log: str, target: int) -> str:
                     sys.stderr.write(proc.stderr.read().decode())
                     raise SystemExit(f"worker exited rc={rc} before kill")
                 return "finished"
-            if wal_round(log) >= target:
+            if reached(target, out, log):
                 proc.send_signal(signal.SIGKILL)
                 proc.wait()
                 return "killed"
@@ -224,21 +238,18 @@ def mode_cli_kill(args, tmp: str, jsonl: str, env: dict) -> int:
     wal = os.path.join(tmp, "wal")
     log = os.path.join(wal, "wal.ndjson")
     out = os.path.join(tmp, "recovered.ndjson")
-    hi = args.max_round
-    if hi is None:
-        last = max((json.loads(l)["rounds"] for l in clean_bytes.splitlines()),
-                   default=1)
-        hi = max(1, 2 * last)
     rng = random.Random(args.seed ^ 0x5EED)
-    targets = sorted(rng.randrange(hi) for _ in range(args.kills))
+    targets = sorted(rng.randrange(PROCESS_KILL_ROWS)
+                     for _ in range(args.kills))
     print(f"[crash-harness] {args.chains} chains, slots={args.slots}, "
-          f"kill rounds {targets}")
+          f"kill rows {targets}")
 
     resume = False
     for target in targets:
-        fate = run_until_round(batch_cmd(jsonl, out, args.slots, wal, resume),
-                               env, log, target)
-        print(f"[crash-harness] round>={target}: {fate}")
+        fate = run_until_rows(batch_cmd(jsonl, out, args.slots, wal, resume),
+                              env, out, log, target)
+        print(f"[crash-harness] rows>={target}: {fate} at "
+              f"{rows_written(out)} rows")
         if fate == "finished":
             break
         resume = True
@@ -257,15 +268,6 @@ def mode_cli_kill(args, tmp: str, jsonl: str, env: dict) -> int:
                 print(f"  first diff at line {i}:\n   clean: {x}\n   "
                       f"recov: {y}", file=sys.stderr)
                 break
-        return 1
-    # the surviving log must also pass the machine audit (§2.13)
-    audit = subprocess.run(
-        [sys.executable, "-m", "repro.cli", "wal", "audit", wal,
-         "--stream", jsonl], env=env, capture_output=True, text=True)
-    print(f"[crash-harness] {audit.stdout.strip()}")
-    if audit.returncode != 0:
-        print(f"[crash-harness] WAL AUDIT FAILED rc={audit.returncode}",
-              file=sys.stderr)
         return 1
     print(f"[crash-harness] OK: recovered NDJSON byte-identical "
           f"({len(clean_bytes)} bytes, {len(targets)} kill points)")
@@ -357,11 +359,12 @@ def mode_service_kill(args, tmp: str, jsonl: str, env: dict) -> int:
     chains = [[tuple(p) for p in doc] for doc in load_ndjson(jsonl)]
 
     def run_cycle(wal: str, target: int | None, resume: bool) -> str:
+        ledger = os.path.join(wal, "results.ndjson")
         log = os.path.join(wal, "wal.ndjson")
         return run_service(
             wal, args, env, chains, resume=resume,
             kill_now=lambda proc: target is not None
-            and wal_round(log) >= target)
+            and reached(target, ledger, log))
 
     # clean reference: an uninterrupted service over the same stream.
     # Live admission is paced by the wire, so *completion order* is
@@ -378,14 +381,11 @@ def mode_service_kill(args, tmp: str, jsonl: str, env: dict) -> int:
     if len(clean_rows) != len(chains):
         raise SystemExit("clean service run lost results")
 
-    hi = args.max_round
-    if hi is None:
-        last = max((d["rounds"] for d in clean_rows), default=1)
-        hi = max(1, 2 * last)
     rng = random.Random(args.seed ^ 0x5E17)
-    targets = sorted(rng.randrange(hi) for _ in range(args.kills))
+    targets = sorted(rng.randrange(PROCESS_KILL_ROWS)
+                     for _ in range(args.kills))
     print(f"[crash-harness] service-kill: {len(chains)} chains, "
-          f"slots={args.slots}, kill rounds {targets}")
+          f"slots={args.slots}, kill rows {targets}")
 
     wal = os.path.join(tmp, "svc-wal")
     ledger = os.path.join(wal, "results.ndjson")
@@ -393,7 +393,8 @@ def mode_service_kill(args, tmp: str, jsonl: str, env: dict) -> int:
     prefixes = []
     for target in targets:
         fate = run_cycle(wal, target, resume)
-        print(f"[crash-harness] round>={target}: {fate}")
+        print(f"[crash-harness] rows>={target}: {fate} at "
+              f"{rows_written(ledger)} rows")
         if fate == "finished":
             break
         resume = True
@@ -428,13 +429,10 @@ def mode_service_kill(args, tmp: str, jsonl: str, env: dict) -> int:
                 break
         return 1
 
-    # The kernel-WAL machine audit does not apply here: live admission
-    # is wire-paced (the scheduler admits whatever has *arrived*), so
-    # re-executing against a never-starved file stream legitimately
-    # produces different admit cursors.  The service's own logs carry
-    # the §2.15 durability evidence instead — check them structurally:
-    # every take refers to a logged accept, no accept was admitted
-    # twice, and every accepted chain reached the ledger exactly once.
+    # The service's own logs carry the §2.15 durability evidence —
+    # check them structurally: every take refers to a logged accept,
+    # no accept was admitted twice, and every accepted chain reached
+    # the ledger exactly once.
     accepts = load_ndjson(os.path.join(wal, "submissions.jsonl"))
     takes = [d["k"] for d in load_ndjson(os.path.join(wal, "intake.jsonl"))]
     if sorted(takes) != sorted(set(takes)) \
@@ -463,22 +461,21 @@ def mode_worker_kill(args, tmp: str, jsonl: str, env: dict) -> int:
     clean_rows = require_digest(sorted(load_ndjson(clean),
                                        key=lambda d: d["chain"]))
 
-    wal = os.path.join(tmp, "wal")
     out = os.path.join(tmp, "supervised.ndjson")
     rng = random.Random(args.seed ^ 0xDEAD)
-    hi = args.max_round if args.max_round else 12
-    targets = sorted(rng.randrange(1, 1 + hi) for _ in range(args.kills))
+    targets = sorted(rng.randrange(1, 1 + WORKER_KILL_ROWS)
+                     for _ in range(args.kills))
     print(f"[crash-harness] worker-kill: {args.chains} chains, "
-          f"workers={args.workers}, shard-round targets {targets}")
+          f"workers={args.workers}, kill rows {targets}")
 
     proc = subprocess.Popen(
-        batch_cmd(jsonl, out, args.slots, wal, workers=args.workers),
+        batch_cmd(jsonl, out, args.slots, wal=None, workers=args.workers),
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     delivered = 0
     try:
         while proc.poll() is None:
             if delivered < len(targets) \
-                    and shard_round(wal) >= targets[delivered]:
+                    and reached(targets[delivered], out):
                 kids = child_pids(proc.pid)
                 if kids:
                     victim = rng.choice(kids)
@@ -488,7 +485,7 @@ def mode_worker_kill(args, tmp: str, jsonl: str, env: dict) -> int:
                         continue           # worker raced to exit; retry
                     delivered += 1
                     print(f"[crash-harness] SIGKILL worker pid={victim} "
-                          f"(shard round >= {targets[delivered - 1]})")
+                          f"(rows >= {targets[delivered - 1]})")
             time.sleep(0.002)
     finally:
         if proc.poll() is None:
@@ -540,17 +537,18 @@ def mode_shard_kill(args, tmp: str, jsonl: str, env: dict) -> int:
         raise SystemExit("clean service run lost results")
 
     wal = os.path.join(tmp, "svc-shards")
+    ledger = os.path.join(wal, "results.ndjson")
     rng = random.Random(args.seed ^ 0x51AB)
-    hi = args.max_round if args.max_round else 12
-    targets = sorted(rng.randrange(1, 1 + hi) for _ in range(args.kills))
+    targets = sorted(rng.randrange(1, 1 + WORKER_KILL_ROWS)
+                     for _ in range(args.kills))
     print(f"[crash-harness] shard-kill: {len(chains)} chains, "
-          f"workers={args.workers}, shard-round targets {targets}")
+          f"workers={args.workers}, kill rows {targets}")
     kills = []
 
     def kill_shard(proc) -> bool:
         # SIGKILL one shard worker per target; the service itself lives
         if len(kills) < len(targets) \
-                and shard_round(wal) >= targets[len(kills)]:
+                and reached(targets[len(kills)], ledger):
             victims = child_pids(proc.pid)
             if victims:
                 victim = rng.choice(victims)
@@ -560,7 +558,7 @@ def mode_shard_kill(args, tmp: str, jsonl: str, env: dict) -> int:
                     return False       # worker raced to exit; retry
                 kills.append(victim)
                 print(f"[crash-harness] SIGKILL shard worker pid={victim} "
-                      f"(shard round >= {targets[len(kills) - 1]})")
+                      f"(rows >= {targets[len(kills) - 1]})")
         return False
 
     run_service(wal, args, env, chains, workers=args.workers,
@@ -569,7 +567,7 @@ def mode_shard_kill(args, tmp: str, jsonl: str, env: dict) -> int:
         print(f"[crash-harness] note: only {len(kills)}/{len(targets)} "
               f"kills delivered (run finished first)")
 
-    rows = load_ndjson(os.path.join(wal, "results.ndjson"))
+    rows = load_ndjson(ledger)
     indices = [d["chain"] for d in rows]
     if len(set(indices)) != len(indices):
         print("[crash-harness] DUPLICATED results after shard respawn",
@@ -748,9 +746,6 @@ def main(argv=None) -> int:
                     help="SIGKILLs (cli-kill/worker-kill) or poison "
                          "chains (poison) to inject")
     ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--max-round", type=int, default=None,
-                    help="kill rounds are drawn from [0, max-round] "
-                         "(default: clean run's final round)")
     args = ap.parse_args(argv)
 
     tmp = tempfile.mkdtemp(prefix="crash-harness-")

@@ -39,6 +39,18 @@ def _build_chain(args):
     return family(args.n)
 
 
+class _Count(argparse.Action):
+    """Store a count option (``--slots``, ``--workers``,
+    ``--snapshot-every``); a value below 1 exits with one error line
+    while the arguments are parsed, before anything starts."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 1:
+            parser.exit(2, f"{parser.prog}: error: {option_string} must be "
+                           f">= 1, got {value}\n")
+        setattr(namespace, self.dest, value)
+
+
 def _params(args) -> Parameters:
     kwargs = {}
     if getattr(args, "viewing", None):
@@ -146,9 +158,9 @@ def cmd_batch_stream(args) -> int:
     if args.resume and not args.wal:
         raise SystemExit("--resume continues a write-ahead-logged run; "
                          "it needs --wal DIR")
-    if args.resume and args.workers and args.workers > 1:
-        raise SystemExit("--resume continues the one top-level log "
-                         "in-process; drop --workers")
+    if args.wal and args.workers and args.workers > 1:
+        raise SystemExit("--wal logs an in-process stream; the shard "
+                         "workers keep no WAL, drop --workers")
     if args.resume:
         from repro.io.wal import LOG_NAME
         log = os.path.join(args.wal, LOG_NAME)
@@ -252,32 +264,6 @@ def cmd_batch(args) -> int:
         rows = [outcome_row(i, r) for i, r in enumerate(batch)]
         print(json.dumps({"summary": batch.summary(), "runs": rows}, indent=2))
     return 0 if batch.all_gathered else 2
-
-
-def cmd_wal_audit(args) -> int:
-    """Machine-check a WAL directory against a deterministic re-run."""
-    from repro.errors import WalError
-    from repro.io.wal import audit_wal
-    # unparseable lines never consumed a stream index (strict runs
-    # aborted on them, --skip-bad-lines runs quarantined them), so the
-    # audit filters them the same way the logged run did
-    skipped = [0]
-
-    def _on_bad(lineno, exc, raw):
-        skipped[0] += 1
-
-    chains = (_iter_jsonl_chains(args.stream, skip_bad=True, on_bad=_on_bad)
-              if args.stream else ())
-    try:
-        report = audit_wal(args.dir, chains)
-    except WalError as exc:
-        print(f"audit FAILED: {exc}")
-        return 1
-    if skipped[0]:
-        print(f"note: {skipped[0]} unparseable stream line(s) skipped, "
-              f"as the logged run did")
-    print(report.summary())
-    return 0 if report.ok else 1
 
 
 def cmd_serve(args) -> int:
@@ -386,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0,
                    help="seed for stochastic families")
     b.add_argument("--engine", choices=ENGINES, default="kernel")
-    b.add_argument("--workers", type=int, default=None,
+    b.add_argument("--workers", type=int, action=_Count, default=None,
                    help="kernel worker processes (default: in-process); "
                         "kernel batches and --stream shard across K "
                         "workers fed over pipes")
@@ -395,26 +381,27 @@ def build_parser() -> argparse.ArgumentParser:
                         "('-' reads stdin) through a bounded arena instead "
                         "of materialising a fleet; results print as chains "
                         "finish (kernel engine only)")
-    b.add_argument("--slots", type=int, default=256,
+    b.add_argument("--slots", type=int, action=_Count, default=256,
                    help="streaming slot budget: max chains concurrently "
                         "resident in total (default: 256; with --workers "
                         "each worker kernel gets slots//workers)")
     b.add_argument("--wal", metavar="DIR",
-                   help="write-ahead-log the stream to DIR (round deltas + "
-                        "periodic snapshots) so a killed run can --resume "
-                        "bit-identically; with --workers each worker "
-                        "writes an effect log to DIR/shard-<k>/ instead, "
-                        "and --resume stays single-process")
+                   help="write a resume log of the stream to DIR "
+                        "(periodic snapshots + the indices already "
+                        "yielded) so a killed run can --resume "
+                        "bit-identically; in-process only, not with "
+                        "--workers")
     b.add_argument("--resume", action="store_true",
                    help="resume a crashed --wal run: restore the latest "
-                        "snapshot, replay the log, skip already-yielded "
-                        "results and continue the same stream")
+                        "snapshot, re-execute from it, skip "
+                        "already-yielded results and continue the same "
+                        "stream")
     b.add_argument("--out", metavar="FILE",
                    help="write NDJSON results to FILE instead of stdout; "
                         "with --resume, already-written lines are kept and "
                         "deduplicated so the finished file is byte-identical "
                         "to an uninterrupted run's")
-    b.add_argument("--snapshot-every", type=int, default=512,
+    b.add_argument("--snapshot-every", type=int, action=_Count, default=512,
                    dest="snapshot_every", metavar="R",
                    help="rounds between WAL snapshots (default 512)")
     b.add_argument("--faults", metavar="SPEC",
@@ -453,10 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--port", type=int, default=0,
                    help="TCP port (default 0: pick a free port and print "
                         "it in the ready line)")
-    s.add_argument("--slots", type=int, default=256,
+    s.add_argument("--slots", type=int, action=_Count, default=256,
                    help="streaming slot budget shared by all clients "
                         "(default 256)")
-    s.add_argument("--workers", type=int, default=None,
+    s.add_argument("--workers", type=int, action=_Count, default=None,
                    help="shard the live stream across K kernel worker "
                         "processes fed over pipes, each submission placed "
                         "on the least-loaded shard (default: in-process "
@@ -468,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "slots)")
     s.add_argument("--wal", metavar="DIR",
                    help="write-ahead-log the service to DIR (submissions, "
-                        "admission order, results ledger + kernel WAL) so "
+                        "admission order, results ledger, and the "
+                        "kernel's resume log when it runs in-process) so "
                         "a killed service can --resume")
     s.add_argument("--resume", action="store_true",
                    help="resume a killed --wal service: replay accepted "
@@ -476,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "complete the results ledger, keeping the lines "
                         "already written and delivering every chain "
                         "exactly once")
-    s.add_argument("--snapshot-every", type=int, default=512,
+    s.add_argument("--snapshot-every", type=int, action=_Count, default=512,
                    dest="snapshot_every", metavar="R",
                    help="rounds between WAL snapshots (default 512)")
     s.add_argument("--max-chain", type=int, default=4096, dest="max_chain",
@@ -507,20 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("families", help="list chain generator families")
     f.set_defaults(func=cmd_families)
-
-    w = sub.add_parser("wal", help="write-ahead-log maintenance")
-    wsub = w.add_subparsers(dest="wal_command", required=True)
-    wa = wsub.add_parser(
-        "audit",
-        help="re-execute a logged stream and diff it against its own "
-             "audit-only records (round effects, admissions, retires, "
-             "yields); exits 1 at the first divergent LSN")
-    wa.add_argument("dir", help="WAL directory (wal.ndjson + snapshots)")
-    wa.add_argument("--stream", metavar="JSONL",
-                    help="the JSONL chain stream the logged run was fed "
-                         "(required when the log admitted any chains "
-                         "after its last on-disk snapshot)")
-    wa.set_defaults(func=cmd_wal_audit)
 
     v = sub.add_parser("verify",
                        help="exhaustively verify all closed chains of length n")

@@ -258,18 +258,16 @@ class BatchSimulator:
         Streaming executes on the fleet kernel only (the reference
         engine has no shared arena to bound).
 
-        Durability (§2.12): ``wal_dir`` write-ahead-logs the stream
-        (one snapshot every ``snapshot_every`` rounds) so a killed run
-        continues with ``resume=True`` — the recorded configuration
-        (slots, params, faults, …) wins over the arguments, and
-        ``chains`` must be the same stream the crashed run was fed.
+        Durability (§2.12): ``wal_dir`` write-ahead-logs an in-process
+        stream (one snapshot every ``snapshot_every`` rounds) so a
+        killed run continues with ``resume=True`` — the recorded
+        configuration (slots, params, faults, …) wins over the
+        arguments, and ``chains`` must be the same stream the crashed
+        run was fed.  The shard tier keeps no kernel WAL, so
+        ``wal_dir`` with ``workers >= 2`` raises ``ValueError``.
         ``faults`` (a :class:`repro.core.faults.FaultPlan`) degrades
         the stream deterministically at intake on either worker
         topology, and mid-run (robot crash/restart) on either as well.
-        With workers, ``wal_dir`` shards: each worker writes an effect
-        log to ``wal_dir/shard-<k>/`` and a respawned worker replays
-        its re-fed chains into a fresh one; top-level ``resume=True``
-        stays in-process only.
 
         Supervision (§2.13): a dead shard worker respawns and replays
         its in-flight chains one at a time, so a chain that keeps
@@ -291,11 +289,10 @@ class BatchSimulator:
             raise ValueError("slots must be >= 1")
         if resume and wal_dir is None:
             raise ValueError("resume=True needs wal_dir")
-        if resume and self.workers > 1:
+        if wal_dir is not None and self.workers > 1:
             raise ValueError(
-                "top-level resume is single-process (shard WALs are "
-                "effect logs, never resumed); set workers=1 to resume a "
-                "killed run")
+                "wal_dir logs an in-process stream; the shard workers "
+                "keep no WAL, so set workers=1 for a resumable run")
         from repro.core.admission import is_admission_source
         if is_admission_source(chains):
             # admission-source protocol (§2.15): hand the source
@@ -318,8 +315,7 @@ class BatchSimulator:
                                               on_error)
         else:
             yield from self._stream_shards(stream, slots, max_rounds,
-                                           progress, faults, wal_dir,
-                                           snapshot_every, on_error)
+                                           progress, faults, on_error)
 
     def _stream_inprocess(self, stream, slots, max_rounds, progress,
                           wal_dir=None, snapshot_every=512, faults=None,
@@ -380,8 +376,7 @@ class BatchSimulator:
         }
 
     def _stream_shards(self, stream, slots, max_rounds, progress,
-                       faults=None, wal_dir=None, snapshot_every=512,
-                       on_error="raise"):
+                       faults=None, on_error="raise"):
         # the shard tier (§2.16): K long-lived kernel workers fed over
         # pipes.  The stats dict is installed *before* the stream runs
         # and updated live (per-shard occupancy and chains/s), so the
@@ -396,9 +391,8 @@ class BatchSimulator:
                                 check_invariants=self.check_invariants,
                                 keep_reports=self.keep_reports,
                                 validate_initial=self.validate_initial,
-                                faults=faults, wal_dir=wal_dir,
-                                snapshot_every=snapshot_every,
-                                on_error=on_error, progress=progress,
+                                faults=faults, on_error=on_error,
+                                progress=progress,
                                 stats=stats)
 
     # ------------------------------------------------------------------
@@ -462,8 +456,9 @@ def gather_stream(chains: Iterable,
     per-chain results are bit-identical to
     :func:`gather_batch` on the same inputs.  ``wal_dir`` /
     ``snapshot_every`` / ``faults`` / ``resume`` pass through to
-    :meth:`BatchSimulator.run_stream` (durability tier, §2.12), which
-    runs ``workers >= 2`` on the shard tier (§2.16).
+    :meth:`BatchSimulator.run_stream` (durability tier, §2.12, for
+    in-process streams), which runs ``workers >= 2`` on the shard
+    tier (§2.16).
     """
     sim = BatchSimulator([], params=params, engine="kernel",
                          check_invariants=check_invariants,

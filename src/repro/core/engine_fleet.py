@@ -594,10 +594,6 @@ class FleetKernel:
         #: instead of the local counter (shard tier, §2.16)
         self._ext_list: Optional[List[int]] = None
         self._ext_pos = 0
-        #: active WAL writer and the round record under construction
-        #: (durability tier, DESIGN.md §2.12; None outside WAL streams)
-        self._wal = None
-        self._wal_rec: Optional[Dict[str, list]] = None
         #: chains whose Python-side id list/index awaits _sync_ids —
         #: value None forces a full rebuild; a dict carries the round's
         #: splice plan (removed positions / survivor overwrites) so the
@@ -807,17 +803,18 @@ class FleetKernel:
         while the stream end is unknown.
 
         Durability (§2.12): ``wal`` — a :class:`repro.io.wal.WalWriter`
-        — logs every round's effects and every admission/retire/yield,
-        and writes a full state snapshot every ``snapshot_every``
-        rounds, making the stream resumable after a hard kill via
-        :meth:`FleetKernel.resume`.  ``faults`` — a
+        the caller opens and closes — is a resume log: one
+        ``stream_start`` record, a full state snapshot every
+        ``snapshot_every`` rounds and one ``yield`` record per
+        delivered batch, which is all :meth:`restore_stream` reads to
+        continue the stream after a hard kill.  ``faults`` — a
         :class:`repro.core.faults.FaultPlan` — degrades the stream
         deterministically at intake (entries dropped or perturbed by
         their stream index) and mid-run (seeded robot crash/restart at
         chain-local round boundaries).  ``_resume`` is the resume
         protocol's internal handoff (progress counters and the
-        already-yielded skip set); use :meth:`resume`, never pass it
-        directly.
+        already-yielded skip set); use :meth:`restore_stream`, never
+        pass it directly.
 
         Supervision (§2.13): ``on_error="quarantine"`` turns per-chain
         failures — a poisoned input that fails chain validation at
@@ -828,9 +825,9 @@ class FleetKernel:
         are always yielded that way.  ``ext_indices`` maps this
         kernel's admissions onto caller-chosen global stream indices
         (the shard workers, §2.16 — each worker's kernel sees only its
-        share but logs, yields and fault-decides under global
-        indices).  The list is read as the stream runs, not copied, so
-        a caller feeding a live source may extend it as entries arrive.
+        share but yields and fault-decides under global indices).
+        The list is read as the stream runs, not copied, so a caller
+        feeding a live source may extend it as entries arrive.
         """
         if slots is not None and slots < 1:
             raise ValueError("slots must be >= 1")
@@ -850,7 +847,6 @@ class FleetKernel:
         take = getattr(it, "take", None)
         if take is not None and not callable(take):
             take = None
-        self._wal = wal
         skip: set = set()
         consumed = 0
         exhausted = False
@@ -911,10 +907,6 @@ class FleetKernel:
             # chain, so quarantine consumes its stream index (gap,
             # never a shift) and yields a structured error outcome
             self.stream_stats["quarantined"] += 1
-            if wal is not None:
-                wal.append("quarantine", i=outcome.index,
-                           r=self.round_index, stage="admit",
-                           error=outcome.error)
             return emit([(outcome.index, outcome)])
 
         if wal is not None:
@@ -993,8 +985,6 @@ class FleetKernel:
                             if kind == "quarantine":
                                 yield from quar(nxt)
                                 continue
-                            if kind is not None and wal is not None:
-                                wal.append("fault", i=idx, kind=kind)
                             if kind == "crash":
                                 continue
                         pulled.append((idx, nxt))
@@ -1010,11 +1000,6 @@ class FleetKernel:
                     fresh.extend(batch_fresh)
                     for outcome in rejected:
                         yield from quar(outcome)
-                if wal is not None and fresh:
-                    # one record per intake burst, not per chain
-                    wal.append("admit", i=[self._ext_of[ci] for ci in fresh],
-                               row=fresh, n=[self._n0[ci] for ci in fresh],
-                               cursor=consumed)
                 if not fresh:
                     break
                 cis = np.asarray(fresh, dtype=np.int64)
@@ -1052,8 +1037,8 @@ class FleetKernel:
                 self._step_round()
             except InvariantViolation as exc:
                 # the violation is detected after the round's effects
-                # are applied and logged; when it can be pinned to one
-                # chain, quarantine mode retires that chain as an error
+                # are applied; when it can be pinned to one chain,
+                # quarantine mode retires that chain as an error
                 # outcome and the rest of the fleet streams on
                 ci = getattr(exc, "chain_index", None)
                 if not quarantine or ci is None or not arena.live[ci]:
@@ -1065,9 +1050,6 @@ class FleetKernel:
                 yield from emit([pair])
                 continue
             self.round_index += 1
-        if wal is not None:
-            wal.append("stream_end", r=self.round_index, done=done)
-        self._wal = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -1080,10 +1062,11 @@ class FleetKernel:
         Restores the newest snapshot, fast-forwards the (freshly
         re-created) ``chains`` iterator to the recorded admission
         cursor and returns ``(kernel, generator)``.  On its first step
-        the generator truncates any torn log tail and appends a
-        ``resume`` record; it then continues the stream through the
-        one engine code path, so the continuation is bit-identical to
-        the uninterrupted run; results delivered before the crash are
+        the generator truncates any torn log tail; it then continues
+        the stream through the one engine code path, so the
+        continuation is bit-identical to the uninterrupted run (each
+        chain's run is a pure function of its input, the parameters
+        and the fault plan); results delivered before the crash are
         re-executed but not re-yielded (yield records after the
         snapshot form the skip set).  It closes its log writer when it
         is exhausted or abandoned.
@@ -1116,8 +1099,6 @@ class FleetKernel:
         def continued():
             writer = reader.continue_writing()
             try:
-                writer.append("resume", snapshot_lsn=snap["lsn"],
-                              r=kernel.round_index)
                 yield from kernel.run_stream(
                     it, slots=stream["slots"],
                     max_rounds=None if mr is None else int(mr),
@@ -1130,15 +1111,6 @@ class FleetKernel:
             finally:
                 writer.close()
         return kernel, continued()
-
-    @classmethod
-    def resume(cls, wal_dir: str, chains: Union[Sequence, object] = (),
-               progress: Optional[Callable[[int, int], None]] = None):
-        """Continue an interrupted WAL stream; yields the remaining
-        ``(stream_index, result)`` pairs exactly as the uninterrupted
-        ``run_stream`` would have from the crash point onward.
-        """
-        return cls.restore_stream(wal_dir, chains, progress=progress)[1]
 
     # ------------------------------------------------------------------
     def _maybe_compact_registry(self) -> None:
@@ -1207,11 +1179,6 @@ class FleetKernel:
             if release:
                 self.reports[ci] = []
                 arena.chains[ci] = None    # type: ignore[call-overload]
-        if self._wal is not None:
-            self._wal.append("retire", r=self.round_index,
-                             c=cis.tolist(),
-                             i=[self._ext_of[ci] for ci in cis.tolist()],
-                             g=np.asarray(gathered, np.int64).tolist())
         arena.retire_batch(cis)
         return out
 
@@ -1230,10 +1197,9 @@ class FleetKernel:
         """Force-retire a live chain as a structured error outcome.
 
         The supervision tier's eviction path (§2.13): the chain's runs
-        leave the registry, its arena slot returns to the free list and
-        a ``quarantine`` record pins the eviction in the WAL — all
-        deterministic, so resume and audit regenerate the exact same
-        eviction.  Returns the ``(stream_index, outcome)`` pair for the
+        leave the registry and its arena slot returns to the free list —
+        all deterministic, so a resumed stream re-executes the exact
+        same eviction.  Returns the ``(stream_index, outcome)`` pair for the
         idempotent yield protocol.
         """
         arena = self.arena
@@ -1241,9 +1207,6 @@ class FleetKernel:
         self._ids_dirty.pop(ci, None)
         ext = self._ext_of[ci]
         self.stream_stats["quarantined"] += 1
-        if self._wal is not None:
-            self._wal.append("quarantine", i=ext, r=self.round_index,
-                             c=ci, stage=stage, error=error)
         self.reports[ci] = []
         arena.chains[ci] = None            # type: ignore[call-overload]
         arena.retire_batch(np.asarray([ci], dtype=np.int64))
@@ -1257,9 +1220,9 @@ class FleetKernel:
         *crashes* (the whole chain of robots dies: quarantined as an
         error outcome) or *restarts* (volatile run state wiped, birth
         re-based so the gathering restarts from the current
-        configuration).  Both are logged, so resume and audit replay
-        them; entries for chains that retired normally first are
-        dropped.
+        configuration).  Both are deterministic, so a resumed stream
+        re-fires them; entries for chains that retired normally first
+        are dropped.
         """
         arena = self.arena
         out: List[Tuple[int, ChainOutcome]] = []
@@ -1275,10 +1238,6 @@ class FleetKernel:
                 self._drop_runs(ci)
                 self.birth[ci] = self.round_index
                 self.stream_stats["mid_restarted"] += 1
-                if self._wal is not None:
-                    self._wal.append("fault", i=self._ext_of[ci],
-                                     kind="mid_restart",
-                                     r=self.round_index, c=ci)
                 continue
             self.stream_stats["mid_crashed"] += 1
             out.append(self._quarantine_chain(
@@ -1297,15 +1256,6 @@ class FleetKernel:
         arena = self.arena
         round_index = self.round_index
         keep = self._keep
-        if self._wal is not None:
-            # one delta record per round, filled in by the pipeline
-            # stages: mv = [chain, robot, dx, dy]*, rm = [chain,
-            # removed_id]*, st = [chain, robot, dir, mode]*, tm =
-            # [chain, stop_code]* — the audit form of the round's
-            # effects (resume re-executes; it does not apply these).
-            # All four ship as pack_ints blobs, not JSON int lists:
-            # per-integer encoding dominated the WAL's overhead.
-            self._wal_rec = {"mv": (), "rm": [], "st": (), "tm": ()}
         chains = arena.chains
         if self._single:
             # the per-chain tiers (detector, scalar decisions, movement
@@ -1369,22 +1319,7 @@ class FleetKernel:
                                 move_c, terminated, dec.conflicts, started,
                                 round_index)
 
-        # 12. round delta record (durability tier) --------------------------
-        # appended *before* the invariant pass: the round's effects are
-        # already applied, so the log must carry them even when a check
-        # below fails and the offending chain is quarantined (§2.13) —
-        # a torn audit trail would make the violation unreproducible
-        if self._wal_rec is not None:
-            from repro.io.wal import pack_ints
-            rec = self._wal_rec
-            self._wal_rec = None
-            self._wal.append(
-                "round", r=round_index,
-                mv=pack_ints(rec["mv"]), rm=pack_ints(rec["rm"]),
-                st=pack_ints(rec["st"]),
-                tm=pack_ints([x for t in terminated for x in t]))
-
-        # 13. invariants ----------------------------------------------------
+        # 12. invariants ----------------------------------------------------
         if self._check:
             self._check_invariants(live_list, before, moved)
 
@@ -1477,16 +1412,6 @@ class FleetKernel:
                  np.asarray(dec.move_deltas, dtype=np.int64).reshape(-1, 2)])
             move_c = np.concatenate(
                 [plan.hop_chain, np.asarray(dec.move_chain, dtype=np.int64)])
-        if self._wal_rec is not None and len(move_g):
-            # captured before the scatter: ids are only rewritten by
-            # the later contraction, and a single segment's chain
-            # indices are its global cells, so arena.ids[move_g] is
-            # the mover's robot id on both tiers
-            mg = np.asarray(move_g, dtype=np.int64)
-            self._wal_rec["mv"] = np.column_stack(
-                [np.asarray(move_c, dtype=np.int64), arena.ids[mg],
-                 np.asarray(move_v, dtype=np.int64).reshape(-1, 2)]
-            ).ravel()
         if self._chain_tier():
             if not len(move_g):
                 return move_g, move_c, _EMPTY_CELLS
@@ -1729,9 +1654,6 @@ class FleetKernel:
             prev_pm[first_idx] = top_key
             removed_ids = np.maximum(prev_pm, nxt_key) % span
             removed_interior = ev_base + removed_ids
-            if self._wal_rec is not None:
-                self._wal_rec["rm"] = np.column_stack(
-                    [zcf, removed_ids]).ravel().tolist()
             last_idx = np.empty(nblk, dtype=np.int64)
             last_idx[:-1] = first_idx[1:] - 1
             last_idx[-1] = m - 1
@@ -1845,8 +1767,6 @@ class FleetKernel:
                     if keep_recs:
                         merges_by_chain.setdefault(ci, []).append(
                             MergeRecord(h_id, t_id, p))
-                if self._wal_rec is not None:
-                    self._wal_rec["rm"].extend((ci, removed))
                 wrap_removed.append(b + removed)
                 length[ci] = nl - 1
                 self._ids_dirty[ci] = None   # wrap shuffles; full rebuild
@@ -1979,8 +1899,6 @@ class FleetKernel:
         rows[:, 2] = dirs[hit]
         rows[:, 3] = modes[hit]
         rows[:, 4:6] = _DIR_TABLE[axc[hit]]
-        if self._wal_rec is not None:
-            self._wal_rec["st"] = rows[:, :4].ravel()
         registry.start_fleet_bulk(rows, round_index)
         per = np.bincount(ci[hit])
         for c in np.flatnonzero(per).tolist():

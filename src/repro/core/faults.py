@@ -8,7 +8,7 @@ through the WAL, which records the plan in its ``stream_start``
 record — injects exactly the same faults.  The pattern follows the
 disabled-device handling of observatory control software: degraded
 inputs are first-class schedule entries, not exceptions, and the
-scheduler's output over them must stay deterministic and auditable.
+scheduler's output over them must stay deterministic.
 """
 
 from __future__ import annotations
@@ -38,8 +38,10 @@ class FaultPlan:
     ``[1, window]`` — crash retires it as a structured error outcome,
     restart wipes its volatile run state so the gathering restarts
     from the current configuration (see :meth:`decide_mid`).  Both are
-    applied at round boundaries by the fleet kernel and recorded as
-    ``fault`` WAL records, so resume and audit replay them exactly.
+    applied at round boundaries by the fleet kernel; pending triggers
+    ride in the WAL snapshots and each trigger is a pure function of
+    the plan and the stream index, so a resumed stream fires them
+    exactly as the uninterrupted run did.
     """
 
     seed: int = 0

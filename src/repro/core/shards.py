@@ -184,15 +184,14 @@ class _PipeSource:
 def _shard_worker_main(cfg: dict, ctl, res) -> None:
     """One shard worker: the ordinary streaming kernel over the pipes.
 
-    Same scheduler, WAL records and mid-run fault machinery as the
-    in-process stream, fed by :class:`_PipeSource`.  The pairs a
+    Same scheduler and mid-run fault machinery as the in-process
+    stream, fed by :class:`_PipeSource`; it writes no log.  The pairs a
     scheduling pass yields go back as one ``("r", [(index, payload),
     ...])`` message — sent from the kernel's ``progress`` callback,
     before a blocking take and at stream end — the final kernel stats
     as ``("x", stats)`` and a failure as ``("e", exception,
     traceback)``.
     """
-    wal = None
     for c in cfg.pop("fork_close", ()):
         c.close()
     try:
@@ -200,9 +199,6 @@ def _shard_worker_main(cfg: dict, ctl, res) -> None:
                              check_invariants=cfg["check_invariants"],
                              keep_reports=cfg["keep_reports"],
                              validate_initial=cfg["validate_initial"])
-        if cfg["wal_dir"] is not None:
-            from repro.io.wal import WalWriter
-            wal = WalWriter(os.path.join(cfg["wal_dir"], cfg["wal_name"]))
         out: List[Tuple[int, object]] = []
 
         def flush(*_) -> None:
@@ -214,8 +210,7 @@ def _shard_worker_main(cfg: dict, ctl, res) -> None:
         faults = FaultPlan.from_doc(cfg["faults"]) if cfg["faults"] else None
         for pair in kernel.run_stream(
                 src, slots=cfg["slots"], max_rounds=cfg["max_rounds"],
-                progress=flush, release=True, wal=wal,
-                snapshot_every=cfg["snapshot_every"], faults=faults,
+                progress=flush, release=True, faults=faults,
                 on_error=cfg["on_error"], ext_indices=src.exts):
             out.append(pair)
         flush()
@@ -236,8 +231,6 @@ def _shard_worker_main(cfg: dict, ctl, res) -> None:
         except Exception:
             pass
     finally:
-        if wal is not None:
-            wal.close()
         res.close()
 
 
@@ -279,8 +272,6 @@ def shard_stream(source, *,
                  keep_reports: bool = False,
                  validate_initial: bool = True,
                  faults=None,
-                 wal_dir: Optional[str] = None,
-                 snapshot_every: int = 512,
                  on_error: str = "raise",
                  progress=None,
                  stats: Optional[dict] = None,
@@ -314,8 +305,6 @@ def shard_stream(source, *,
     per_shard = [{"shard": k, "live": 0, "completed": 0, "respawns": 0,
                   "chains_per_s": 0.0} for k in range(workers)]
     stats["per_shard"] = per_shard
-    if wal_dir is not None:
-        os.makedirs(wal_dir, exist_ok=True)
 
     if is_admission_source(source):
         take = source.take
@@ -362,24 +351,12 @@ def shard_stream(source, *,
     def spawn(s: _Shard) -> None:
         ctl_r, ctl_w = ctx.Pipe(duplex=False)
         res_r, res_w = ctx.Pipe(duplex=False)
-        wal_name = f"shard-{s.k}" + (f"-r{s.respawns}" if s.respawns
-                                     else "")
-        if wal_dir is not None:
-            # worker WALs are effect logs, never resumed in place — a
-            # re-fed stream (service-level resume) gets fresh suffixed
-            # directories instead of colliding with the dead run's
-            cand, m = wal_name, 1
-            while os.path.exists(os.path.join(wal_dir, cand)):
-                cand = f"{wal_name}.{m}"
-                m += 1
-            wal_name = cand
         cfg = {"slots": slots_per, "params": params,
                "check_invariants": check_invariants,
                "keep_reports": keep_reports,
                "validate_initial": validate_initial,
                "max_rounds": max_rounds, "on_error": on_error,
-               "faults": worker_faults, "wal_dir": wal_dir,
-               "snapshot_every": snapshot_every, "wal_name": wal_name}
+               "faults": worker_faults}
         if ctx.get_start_method() == "fork":
             # the fork inherits every open parent fd: this shard's own
             # parent-side pipe ends plus every sibling's.  Left open in

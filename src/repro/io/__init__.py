@@ -16,9 +16,7 @@ from repro.io.wal import (
     WalReader,
     WalWriter,
     load_fleet_snapshot,
-    pack_ints,
     save_fleet_snapshot,
-    unpack_ints,
 )
 
 __all__ = [
@@ -36,6 +34,4 @@ __all__ = [
     "WalReader",
     "save_fleet_snapshot",
     "load_fleet_snapshot",
-    "pack_ints",
-    "unpack_ints",
 ]

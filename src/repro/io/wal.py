@@ -1,16 +1,16 @@
 """Write-ahead log and snapshots for the streaming scheduler.
 
 The durability tier (DESIGN.md §2.12): a WAL directory holds one
-append-only NDJSON log (``wal.ndjson``) of versioned delta records
-with monotonic LSNs, plus periodic full snapshots of the fleet state
-(``snapshot-<lsn>.npz``).  The log records each round's *effects* —
-moves, removals, run starts/stops, retire/admit/fault events, stream
-yields — which makes a long stream auditable record by record; the
-snapshots capture everything the scheduler's behaviour depends on, so
-resume restores the latest snapshot and *re-executes* rounds through
-the one engine code path (determinism is what makes the continuation
-bit-identical, and the re-executed rounds re-log, so a resumed log
-stays a valid audit trail).
+append-only NDJSON log (``wal.ndjson``) of versioned records with
+monotonic LSNs, plus periodic full snapshots of the fleet state
+(``snapshot-<lsn>.npz``).  The log is a resume log and holds exactly
+what resume reads: one ``stream_start`` record (the stream's
+configuration), one ``snapshot`` record per snapshot file (its name,
+round and stream cursor) and one ``yield`` record per delivered batch
+(the skip set).  Each chain's run is a pure function of its input,
+the parameters and the fault plan, so resume restores the latest
+snapshot and *re-executes* rounds through the one engine code path;
+determinism is what makes the continuation bit-identical.
 
 Durability policy: every record is flushed to the OS page cache as it
 is appended — a SIGKILL of the process loses at most the line being
@@ -22,11 +22,9 @@ durability (fsync) is out of scope for the reproduction harness.
 
 from __future__ import annotations
 
-import base64
 import json
 import os
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -61,39 +59,8 @@ def _np_default(o):
     raise TypeError(f"not JSON-serializable: {o!r}")
 
 
-def pack_ints(values) -> str:
-    """Bulk-array encoding for WAL v1 round deltas: a width tag
-    (``h`` = little-endian int16, ``i`` = int32) plus base64 payload.
-
-    Round records carry thousands of small integers per line (every
-    hop of every live chain); encoding them as JSON int lists costs
-    one Python object per integer and dominated WAL overhead.  A
-    packed blob keeps both ends on the C fast path, and the int16 form
-    — which slot indices, robot ids and direction deltas virtually
-    always fit — halves the bytes the log scans and writes.
-    """
-    a = np.ascontiguousarray(np.asarray(values, dtype=np.int64))
-    if a.size == 0:
-        return "h"
-    lo, hi = int(a.min()), int(a.max())
-    if -32768 <= lo and hi <= 32767:
-        tag, dtype = "h", "<i2"
-    else:
-        tag, dtype = "i", "<i4"
-    return tag + base64.b64encode(a.astype(dtype).tobytes()).decode("ascii")
-
-
-def unpack_ints(blob: str) -> np.ndarray:
-    """Inverse of :func:`pack_ints` (int64 array, host order)."""
-    if not blob or blob[0] not in "hi":
-        raise WalError(f"packed int blob has no width tag: {blob[:8]!r}")
-    raw = base64.b64decode(blob[1:].encode("ascii"))
-    dtype = "<i2" if blob[0] == "h" else "<i4"
-    return np.frombuffer(raw, dtype=dtype).astype(np.int64)
-
-
 class WalWriter:
-    """Append versioned delta records to a WAL directory.
+    """Append versioned records to a WAL directory.
 
     Creating a writer on a directory that already holds a non-empty
     log raises :class:`WalError` — an interrupted stream must be
@@ -344,224 +311,3 @@ def load_fleet_snapshot(path: str) -> Tuple[Any, Dict[str, Any]]:
     for ci in arena.live_indices().tolist():
         arena.revive_chain(ci)
     return kernel, dict(meta["stream"])
-
-
-# ----------------------------------------------------------------------
-# machine-checkable audit (§2.13)
-# ----------------------------------------------------------------------
-#: Record types the audit compares — the deterministic effect trail.
-#: ``stream_start``/``snapshot``/``resume`` are control records whose
-#: timing legitimately differs between a run and its re-execution.
-AUDIT_TYPES = frozenset({"round", "admit", "retire", "yield", "fault",
-                         "quarantine", "stream_end"})
-
-
-@dataclass
-class AuditReport:
-    """Outcome of :func:`audit_wal`.
-
-    ``ok`` — every audited record the log holds matches the
-    re-execution.  ``complete`` — the log ends with ``stream_end``
-    (an incomplete log is the crash window: the audit validates the
-    prefix and reports ok).  On failure ``divergent_lsn`` is the LSN
-    of the first logged record the re-execution contradicts (or the
-    LSN just past the log when records are missing) and ``reason``
-    says how.
-    """
-
-    ok: bool
-    checked: int
-    audited_from_lsn: int
-    complete: bool
-    divergent_lsn: Optional[int] = None
-    reason: str = ""
-
-    def summary(self) -> str:
-        span = f"{self.checked} records from lsn {self.audited_from_lsn}"
-        if self.ok:
-            tail = "" if self.complete else " (log ends mid-stream)"
-            return f"audit ok: {span} re-executed and matched{tail}"
-        return (f"audit FAILED at lsn {self.divergent_lsn} after {span}: "
-                f"{self.reason}")
-
-
-class AuditDivergence(Exception):
-    """Internal: the re-execution contradicted a logged record."""
-
-    def __init__(self, lsn: int, reason: str):
-        super().__init__(f"lsn {lsn}: {reason}")
-        self.lsn = lsn
-        self.reason = reason
-
-
-class _AuditLogEnd(Exception):
-    """Internal: the re-execution ran past the last logged record."""
-
-
-def _describe_mismatch(regen: Dict[str, Any],
-                       logged: Dict[str, Any]) -> str:
-    if regen.get("type") != logged.get("type"):
-        return (f"re-execution produced a {regen.get('type')!r} record "
-                f"where the log holds {logged.get('type')!r}")
-    keys = sorted(set(regen) | set(logged))
-    for key in keys:
-        if regen.get(key) != logged.get(key):
-            return (f"{logged.get('type')} record field {key!r} differs: "
-                    f"log has {_clip(logged.get(key))}, re-execution "
-                    f"produced {_clip(regen.get(key))}")
-    return "records differ"
-
-
-def _clip(value: Any, limit: int = 80) -> str:
-    text = repr(value)
-    return text if len(text) <= limit else text[:limit] + "…"
-
-
-class WalAuditor:
-    """A drop-in :class:`WalWriter` that *compares* instead of writes.
-
-    Handed to ``run_stream`` in place of the real writer, it checks
-    each record the re-execution generates against the logged sequence
-    — same types, same payloads, in order — raising
-    :class:`AuditDivergence` at the first contradiction and
-    :class:`_AuditLogEnd` when the log has no more records to compare
-    (the crash-truncation window).  Snapshots are a no-op: the audit
-    never touches the directory it is checking.
-    """
-
-    def __init__(self, expected: List[dict]):
-        self._expected = expected
-        self._pos = 0
-        self.checked = 0
-
-    def append(self, rtype: str, **fields: Any) -> int:
-        if rtype not in AUDIT_TYPES:
-            return -1
-        if self._pos >= len(self._expected):
-            raise _AuditLogEnd()
-        logged = self._expected[self._pos]
-        self._pos += 1
-        # normalise through one json round-trip so NumPy scalars and
-        # tuples compare equal to the parsed log's plain lists/ints
-        regen = json.loads(json.dumps(dict(fields, type=rtype),
-                                      default=_np_default))
-        ref = {k: v for k, v in logged.items()
-               if k not in ("lsn", "format", "version")}
-        if regen != ref:
-            raise AuditDivergence(logged["lsn"],
-                                  _describe_mismatch(regen, ref))
-        self.checked += 1
-        return int(logged["lsn"])
-
-    def remaining(self) -> List[dict]:
-        return self._expected[self._pos:]
-
-    def write_snapshot(self, kernel, stream: Dict[str, Any]) -> str:
-        return ""
-
-    def close(self) -> None:
-        pass
-
-
-def audit_wal(wal_dir: str, chains: Iterable = ()) -> AuditReport:
-    """Re-execute a logged stream and diff it against its own log.
-
-    The machine-checkable half of the durability story: ``round``
-    records are audit-only (resume re-executes, it never applies
-    them), so nothing in normal operation would notice a tampered or
-    torn effect trail.  The audit closes that gap — it restores the
-    *oldest* snapshot still on disk after the last ``resume`` record,
-    fast-forwards the (freshly re-created) ``chains`` stream to the
-    recorded cursor, re-runs the one engine code path with a
-    :class:`WalAuditor` in the writer seat, and reports the first
-    logged record the deterministic re-execution contradicts.
-
-    ``chains`` must be the same stream the logged run was fed (the
-    log records effects, not inputs).  The log and its snapshots are
-    never modified.
-    """
-    from repro.core.engine_fleet import FleetKernel  # noqa: F401 (cycle)
-    from repro.core.faults import FaultPlan
-
-    reader = WalReader(wal_dir)
-    recs = reader.records()
-    start = reader.stream_start()
-    last_resume = max((r["lsn"] for r in recs if r["type"] == "resume"),
-                      default=-1)
-    snap_rec = None
-    for rec in recs:
-        if rec["type"] == "snapshot" and rec["lsn"] > last_resume \
-                and os.path.exists(reader.snapshot_path(rec)):
-            snap_rec = rec
-            break
-    if snap_rec is None:
-        raise WalError(f"{wal_dir}: no on-disk snapshot after the last "
-                       f"resume record — nothing to audit from")
-    expected = [r for r in recs
-                if r["lsn"] > snap_rec["lsn"] and r["type"] in AUDIT_TYPES]
-    complete = bool(expected) and expected[-1]["type"] == "stream_end"
-
-    kernel, stream = load_fleet_snapshot(reader.snapshot_path(snap_rec))
-    skip = reader.yields_after(snap_rec["lsn"])
-    consumed = int(stream["consumed"])
-    it = iter(chains)
-    for k in range(consumed):
-        try:
-            next(it)
-        except StopIteration:
-            raise WalError(
-                f"{wal_dir}: chain stream ended after {k} entries but the "
-                f"log recorded {consumed} consumed — the audit needs the "
-                f"same stream the logged run was fed") from None
-    fd = start.get("faults")
-    faults = FaultPlan.from_doc(fd) if fd else None
-    auditor = WalAuditor(expected)
-    mr = stream["max_rounds"]
-    gen = kernel.run_stream(
-        it, slots=stream["slots"],
-        max_rounds=None if mr is None else int(mr),
-        release=bool(stream["release"]), wal=auditor,
-        snapshot_every=int(stream["snapshot_every"]), faults=faults,
-        on_error=str(stream.get("on_error", "raise")),
-        _resume=(bool(stream["exhausted"]), int(stream["done"]),
-                 consumed, skip))
-
-    base = AuditReport(ok=True, checked=0,
-                       audited_from_lsn=int(snap_rec["lsn"]) + 1,
-                       complete=complete)
-    try:
-        for _ in gen:
-            pass
-    except AuditDivergence as exc:
-        base.ok = False
-        base.checked = auditor.checked
-        base.divergent_lsn = exc.lsn
-        base.reason = exc.reason
-        return base
-    except _AuditLogEnd:
-        base.checked = auditor.checked
-        if complete:
-            # the log claims the stream ended, yet the re-execution
-            # kept producing effects: records were deleted mid-trail
-            base.ok = False
-            base.divergent_lsn = int(expected[-1]["lsn"])
-            base.reason = ("log missing records: re-execution produced "
-                           "further effects before its stream_end")
-        return base
-    except (WalError, ValueError, KeyError) as exc:
-        # a tampered log/snapshot can derail the kernel itself
-        nxt = auditor.remaining()
-        base.ok = False
-        base.checked = auditor.checked
-        base.divergent_lsn = int(nxt[0]["lsn"]) if nxt else None
-        base.reason = f"re-execution failed: {exc}"
-        return base
-    base.checked = auditor.checked
-    leftover = auditor.remaining()
-    if leftover:
-        base.ok = False
-        base.divergent_lsn = int(leftover[0]["lsn"])
-        base.reason = (f"log holds {len(leftover)} record(s) the "
-                       f"re-execution never produced (first: "
-                       f"{leftover[0]['type']!r})")
-    return base

@@ -12,7 +12,8 @@ while finished chains are handed back to the loop thread with
 supervision tier (``on_error="quarantine"``): hostile input degrades
 into structured frames, never a dead server loop.
 
-Durability (``wal_dir``): three logs alongside the kernel's own WAL —
+Durability (``wal_dir``): three logs, plus the kernel's resume log
+(``wal.ndjson`` and its snapshots) when the kernel runs in-process —
 
 ``submissions.jsonl``
     one line per *accepted* submission (``{"k": accept_index,
@@ -30,17 +31,17 @@ Durability (``wal_dir``): three logs alongside the kernel's own WAL —
 
 A killed service resumes with ``resume=True``: each log's torn tail is
 cut, accepted submissions are replayed to the queue in logged intake
-order (then any never-taken accepts in accept order), the kernel
-restores its snapshot and fast-forwards through the replay, and the
-ledger skips the indices it already holds.  The lines completed
-before the kill stay verbatim, every chain lands exactly once and
-each row equals a clean run's (§2.15); resumed entries have no live
-client and complete into the ledger only.  ``service.json`` records
-the worker count, so a killed ``--workers K`` service restores its
-full shard set (the queue is an admission source, so ``run_stream``
-runs it on the shard tier, §2.16) — there the shards re-run the
-replay deterministically from scratch and the ledger's skip alone
-provides exactly-once.
+order (then any never-taken accepts in accept order), the in-process
+kernel restores its snapshot and fast-forwards through the replay,
+and the ledger skips the indices it already holds.  The lines
+completed before the kill stay verbatim, every chain lands exactly
+once and each row equals a clean run's (§2.15); resumed entries have
+no live client and complete into the ledger only.  ``service.json``
+records the worker count, so a killed ``--workers K`` service
+restores its full shard set (the queue is an admission source, so
+``run_stream`` runs it on the shard tier, §2.16).  The shard workers
+write no log: they re-run the whole replay deterministically from
+scratch, and the ledger's skip alone provides exactly-once.
 
 Result frames are written without awaiting ``drain()`` (they originate
 on the kernel thread); a client that stops reading accumulates server
@@ -191,7 +192,7 @@ class GatherService:
             self.queue.feed_replay(replay)
         # the queue is an admission source, so workers >= 2 runs the
         # shard tier (§2.16): K kernel processes fed over pipes,
-        # crash-respawning shards, per-shard WALs under wal_dir/shard-<k>
+        # crash-respawning shards that write no log
         self.sim = BatchSimulator(
             [], params=self.params, engine="kernel",
             workers=self.workers, keep_reports=False,
@@ -248,16 +249,17 @@ class GatherService:
 
     def _kernel_main(self) -> None:
         try:
-            # the shard tier has no kernel-level snapshot resume (per-
-            # shard WALs are effect logs); exactly-once on resume comes
-            # from the service-level replay (queue feed_replay) plus
-            # the results-ledger dedup below, so the stream re-runs
+            # only an in-process kernel keeps a resume log; on the
+            # shard tier exactly-once on resume comes from the
+            # service-level replay (queue feed_replay) plus the
+            # results-ledger dedup below, so the stream re-runs
             # deterministically and only unseen indices append
-            resume = self.resume and self.workers <= 1
+            inprocess = self.workers <= 1
             gen = self.sim.run_stream(
                 self.queue, slots=self.slots, max_rounds=self.max_rounds,
-                wal_dir=self.wal_dir, snapshot_every=self.snapshot_every,
-                resume=resume, on_error="quarantine")
+                wal_dir=self.wal_dir if inprocess else None,
+                snapshot_every=self.snapshot_every,
+                resume=self.resume and inprocess, on_error="quarantine")
             for idx, payload in gen:
                 # durable before the generator is re-entered: a WAL
                 # yield record always implies a ledger line (§2.12)

@@ -2,13 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import main
 from repro.core.chain import ClosedChain
 from repro.chains import square_ring
-from repro.io import save_chain
+from repro.io import WalReader, save_chain
 
 
 class TestGather:
@@ -146,8 +148,10 @@ class TestBatchStream:
         monkeypatch.setattr("sys.stdin", None)
         wal = str(tmp_path / "wal")
         assert main(["batch", "--stream", "-", "--wal", wal]) == 0
-        text = (tmp_path / "wal" / "wal.ndjson").read_text()
-        assert '"stream_end"' in text
+        # a resume log: the stream's opening record and its baseline
+        # snapshot, with nothing yielded
+        types = {r["type"] for r in WalReader(wal).records()}
+        assert types == {"stream_start", "snapshot"}
 
     def test_stream_budget_exit_code(self, tmp_path, capsys):
         path = self._write_jsonl(tmp_path, [square_ring(20)])
@@ -242,16 +246,12 @@ class TestSupervisedStream:
                     if line.startswith("{")]
 
     def test_resume_without_log_exits_with_one_line(self, tmp_path, capsys):
-        # a mistyped directory, and the directory of a --workers run,
-        # which holds only shard-<k>/ logs
+        # a mistyped directory, and one that holds no log
         path = self._write_jsonl(tmp_path, [square_ring(8)] * 3)
-        sharded = tmp_path / "sharded"
-        assert main(["batch", "--stream", path, "--wal", str(sharded),
-                     "--workers", "2"]) == 0
-        assert sorted(p.name for p in sharded.iterdir()) == \
-            ["shard-0", "shard-1"]
+        empty = tmp_path / "empty"
+        empty.mkdir()
         out = tmp_path / "out.ndjson"
-        for wal in (tmp_path / "typo", sharded):
+        for wal in (tmp_path / "typo", empty):
             with pytest.raises(SystemExit) as exc:
                 main(["batch", "--stream", path, "--wal", str(wal),
                       "--resume", "--out", str(out)])
@@ -259,44 +259,58 @@ class TestSupervisedStream:
             assert str(wal / "wal.ndjson") in msg and "\n" not in msg
             assert not out.exists()
 
-    def test_wal_audit_clean_and_tampered(self, tmp_path, capsys):
-        path = self._write_jsonl(
-            tmp_path, [square_ring(8), square_ring(12), square_ring(8)])
-        wal = tmp_path / "wal"
-        assert main(["batch", "--stream", path, "--slots", "2",
-                     "--wal", str(wal)]) == 0
-        assert main(["wal", "audit", str(wal), "--stream", path]) == 0
-        assert "audit ok" in capsys.readouterr().out
-        # doctor one round record: swap its move blob for its starts
-        log = wal / "wal.ndjson"
-        recs = [json.loads(s) for s in log.read_text().splitlines()]
-        victim = next(r for r in recs
-                      if r["type"] == "round" and r.get("mv"))
-        victim["mv"], victim["st"] = victim["st"], victim["mv"]
-        log.write_text("\n".join(json.dumps(r) for r in recs) + "\n")
-        assert main(["wal", "audit", str(wal), "--stream", path]) == 1
-        out = capsys.readouterr().out
-        assert "audit FAILED" in out and str(victim["lsn"]) in out
+    def test_wal_with_workers_exits_with_one_line(self, tmp_path, capsys):
+        # the shard workers keep no WAL: refused before --out or the
+        # log directory is opened, fresh or resumed
+        path = self._write_jsonl(tmp_path, [square_ring(8)] * 3)
+        wal, out = tmp_path / "wal", tmp_path / "out.ndjson"
+        for extra in ([], ["--resume"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["batch", "--stream", path, "--workers", "2",
+                      "--wal", str(wal), "--out", str(out)] + extra)
+            msg = str(exc.value)
+            assert "--wal" in msg and "--workers" in msg \
+                and "\n" not in msg
+            assert not out.exists() and not wal.exists()
 
-    def test_wal_audit_missing_dir(self, tmp_path, capsys):
-        assert main(["wal", "audit", str(tmp_path / "nope")]) == 1
-        assert "audit FAILED" in capsys.readouterr().out
 
-    def test_wal_audit_skips_bad_lines_like_the_run_did(
-            self, tmp_path, capsys):
-        path = tmp_path / "mixed.jsonl"
-        good = json.dumps([list(p) for p in square_ring(8)])
-        path.write_text(good + "\nnot json\n" + good + "\n")
+class TestCountOptions:
+    """``--slots``, ``--workers`` and ``--snapshot-every`` below 1 are
+    refused while the arguments are parsed: one error line, before a
+    stream, a log or a listener exists (so no ready line either)."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["batch", "--stream", "{jsonl}", "--slots", "0"],
+                     id="batch-stream-slots-0"),
+        pytest.param(["batch", "--stream", "{jsonl}", "--workers", "0"],
+                     id="batch-stream-workers-0"),
+        pytest.param(["batch", "--stream", "{jsonl}", "--workers", "-1"],
+                     id="batch-stream-workers-minus-1"),
+        pytest.param(["batch", "--stream", "{jsonl}", "--wal", "{wal}",
+                      "--snapshot-every", "0"],
+                     id="batch-stream-wal-snapshot-every-0"),
+        pytest.param(["batch", "--sizes", "8", "--workers", "0"],
+                     id="batch-sizes-workers-0"),
+        pytest.param(["serve", "--slots", "0"], id="serve-slots-0"),
+        pytest.param(["serve", "--wal", "{wal}", "--snapshot-every", "0"],
+                     id="serve-wal-snapshot-every-0"),
+        pytest.param(["serve", "--workers", "0"], id="serve-workers-0"),
+    ])
+    def test_count_below_one_exits_while_parsing(self, tmp_path, argv):
+        jsonl = tmp_path / "chains.jsonl"
+        jsonl.write_text(json.dumps(square_ring(8)) + "\n")
         wal = tmp_path / "wal"
-        dl = tmp_path / "dead.ndjson"
-        assert main(["batch", "--stream", str(path), "--wal", str(wal),
-                     "--skip-bad-lines", "--dead-letter", str(dl)]) == 2
-        # the bad line consumed no stream index, so the audit must
-        # filter it out exactly as the logged run did
-        assert main(["wal", "audit", str(wal), "--stream",
-                     str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "audit ok" in out and "1 unparseable" in out
+        argv = [a.format(jsonl=jsonl, wal=wal) for a in argv]
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        res = subprocess.run([sys.executable, "-m", "repro"] + argv,
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 2 and res.stdout == "", res.stdout
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and f"error: {argv[-2]} must be >= 1" \
+            in lines[0], res.stderr
+        assert not wal.exists()
 
 
 class TestMisc:
@@ -311,3 +325,10 @@ class TestMisc:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_no_wal_command(self, tmp_path, capsys):
+        # the WAL is a resume log that only --resume reads; there is
+        # no command that re-executes or inspects it
+        with pytest.raises(SystemExit):
+            main(["wal", "audit", str(tmp_path)])
+        assert "invalid choice: 'wal'" in capsys.readouterr().err

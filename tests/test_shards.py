@@ -356,16 +356,6 @@ class TestShardCrash:
         gen.close()                     # consumer walks away mid-stream
         assert not any(p.is_alive() for p in kids)
 
-    def test_per_shard_wals_written(self, tmp_path):
-        wal = tmp_path / "wal"
-        got = dict(shard_stream(closed_source(mixed_chains(12)), workers=2,
-                                slots=6, wal_dir=str(wal)))
-        assert len(got) == 12
-        shards = sorted(p.name for p in wal.iterdir())
-        assert shards == ["shard-0", "shard-1"]
-        for s in shards:
-            assert (wal / s / "wal.ndjson").exists()
-
 
 # ---------------------------------------------------------------------------
 # service tier: multi-worker resume, per-shard status, chain sizes
@@ -402,6 +392,44 @@ async def serve_one_by_one(workers, rings):
 
 
 class TestShardService:
+    def test_serve_workers_keep_only_service_logs(self, tmp_path):
+        """``repro serve --workers 2 --wal D``: the shard workers write
+        no log, so D holds the service's own logs and nothing else."""
+        from repro.service.client import GatherClient
+        wal = tmp_path / "wal"
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--slots", "4", "--workers", "2", "--wal", str(wal)],
+            env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True)
+        try:
+            line = proc.stdout.readline()
+            assert "serving on" in line, line
+            port = int(line.split("(")[0].rsplit(":", 1)[1])
+
+            async def feed():
+                cli = await GatherClient.connect("127.0.0.1", port)
+                for ring in mixed_chains(6):
+                    await cli.submit(ring)
+                await cli.drain(timeout=60)
+                await cli.shutdown()
+                await cli.close()
+
+            asyncio.run(feed())
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=60)
+            proc.stdout.close()
+        assert sorted(p.name for p in wal.iterdir()) == [
+            "intake.jsonl", "results.ndjson", "service.json",
+            "submissions.jsonl"]
+        rows = (wal / "results.ndjson").read_text().splitlines()
+        assert sorted(json.loads(r)["chain"] for r in rows) == list(range(6))
+
     def test_service_multiworker_resume_restores_shards(self, tmp_path):
         """A killed --workers K --wal service resumes with its full
         shard set (service.json header) and completes the results

@@ -260,8 +260,7 @@ class TestSupervisedPool:
         tmp = pathlib.Path(tempfile.mkdtemp(prefix="sup-kill-"))
         self._arm(tmp, kills, target)
         try:
-            outs, stats, _ = supervised(chains, workers=2, slots=8,
-                                        wal_dir=str(tmp / "wal"))
+            outs, stats, _ = supervised(chains, workers=2, slots=8)
         finally:
             os.environ.pop(KILL_SPEC_ENV, None)
         assert stats["respawns"] >= 1             # the hook really fired
@@ -310,10 +309,14 @@ class TestShardedWalRestrictions:
             list(sim.run_stream(ring_stream(2), slots=2, wal_dir="/tmp/x",
                                 resume=True))
 
-    def test_shard_dirs_created_per_worker(self, tmp_path):
+    def test_shards_refuse_a_wal_dir(self, tmp_path):
+        # the shard workers keep no WAL: a supervised sharded stream
+        # runs without one, and asking for one raises before any
+        # worker starts or anything is written
         wal = tmp_path / "wal"
-        outs, _, _ = supervised(ring_stream(10), workers=2, slots=4,
-                                wal_dir=str(wal))
+        outs, _, _ = supervised(ring_stream(10), workers=2, slots=4)
         assert len(outs) == 10 and all(o.ok for o in outs.values())
-        shards = sorted(p.name for p in wal.iterdir())
-        assert shards == ["shard-0", "shard-1"]
+        with pytest.raises(ValueError, match="keep no WAL"):
+            supervised(ring_stream(10), workers=2, slots=4,
+                       wal_dir=str(wal))
+        assert not wal.exists()

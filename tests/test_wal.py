@@ -27,7 +27,6 @@ from repro.io import (
     save_fleet_snapshot,
     validate_document,
 )
-from repro.io.wal import pack_ints, unpack_ints
 from repro.io.serialization import (
     SUPPORTED_VERSIONS,
     register_migration,
@@ -35,32 +34,19 @@ from repro.io.serialization import (
 )
 
 
-ints = st.integers(min_value=0, max_value=2**40)
 small = st.integers(min_value=0, max_value=10**6)
-flat = st.lists(st.integers(min_value=-1000, max_value=1000), max_size=24)
 
 # One strategy per WAL record type, matching the fields the engine emits.
 RECORDS = st.one_of(
     st.fixed_dictionaries({"type": st.just("stream_start"),
                            "slots": small, "snapshot_every": small,
                            "release": st.booleans()}),
-    st.fixed_dictionaries({"type": st.just("admit"), "i": small,
-                           "row": small, "n": small, "cursor": small}),
-    st.fixed_dictionaries({"type": st.just("fault"), "i": small,
-                           "kind": st.sampled_from(["crash", "perturb"])}),
-    st.fixed_dictionaries({"type": st.just("round"), "r": small,
-                           "mv": flat, "rm": flat, "st": flat, "tm": flat}),
-    st.fixed_dictionaries({"type": st.just("retire"), "r": small,
-                           "c": flat, "i": flat, "g": flat}),
-    st.fixed_dictionaries({"type": st.just("yield"), "i": small}),
+    st.fixed_dictionaries({"type": st.just("yield"),
+                           "i": st.lists(small, min_size=1, max_size=8)}),
     st.fixed_dictionaries({"type": st.just("snapshot"),
                            "file": st.just("snapshot-0000000000.npz"),
                            "r": small, "cursor": small, "done": small,
                            "exhausted": st.booleans()}),
-    st.fixed_dictionaries({"type": st.just("resume"),
-                           "snapshot_lsn": small, "r": small}),
-    st.fixed_dictionaries({"type": st.just("stream_end"), "r": small,
-                           "done": small}),
 )
 
 
@@ -86,21 +72,6 @@ class TestWalRoundTrip:
             assert rec["version"] == 1
             for key, val in doc.items():
                 assert rec[key] == val
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(min_value=-2**31, max_value=2**31 - 1)))
-    def test_packed_ints_round_trip(self, values):
-        blob = pack_ints(values)
-        assert unpack_ints(blob).tolist() == values
-        # int16-ranged payloads take the narrow encoding
-        if values and all(-32768 <= v <= 32767 for v in values):
-            assert blob[0] == "h"
-
-    def test_packed_ints_rejects_untagged(self):
-        with pytest.raises(WalError):
-            unpack_ints("")
-        with pytest.raises(WalError):
-            unpack_ints("AAAA")
 
     def test_numpy_scalars_serialize(self, tmp_path):
         writer = WalWriter(str(tmp_path))
@@ -155,7 +126,9 @@ class TestWalRoundTrip:
             WalReader(str(tmp_path)).records()
 
     def test_existing_log_not_clobbered(self, tmp_path):
-        WalWriter(str(tmp_path)).append("stream_start", slots=4)
+        writer = WalWriter(str(tmp_path))
+        writer.append("stream_start", slots=4)
+        writer.close()
         with pytest.raises(WalError):
             WalWriter(str(tmp_path))
 
@@ -385,110 +358,3 @@ def _stream_state(**over):
              "on_error": "raise"}
     state.update(over)
     return state
-
-
-class TestWalAudit:
-    def _logged_stream(self, tmp_path, count=20, snapshot_every=4):
-        from repro.io.wal import audit_wal  # noqa: F401
-        rng = random.Random(9)
-        chains = [random_chain(rng.choice([8, 12]), rng)
-                  for _ in range(count)]
-        fleet = FleetKernel([], check_invariants=False)
-        list(fleet.run_stream(chains, slots=5, release=True,
-                              wal=WalWriter(str(tmp_path)),
-                              snapshot_every=snapshot_every))
-        return chains
-
-    def _audited_tail(self, tmp_path):
-        import os
-        recs = WalReader(str(tmp_path)).records()
-        snap = next(r for r in recs if r["type"] == "snapshot"
-                    and os.path.exists(str(tmp_path / r["file"])))
-        return recs, snap
-
-    def _rewrite(self, tmp_path, recs):
-        with open(tmp_path / "wal.ndjson", "w") as fh:
-            for rec in recs:
-                fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-
-    def test_clean_log_passes(self, tmp_path):
-        from repro.io.wal import audit_wal
-        chains = self._logged_stream(tmp_path)
-        report = audit_wal(str(tmp_path), chains)
-        assert report.ok and report.complete and report.checked > 0
-
-    def test_tampered_round_pinpoints_lsn(self, tmp_path):
-        from repro.io.wal import audit_wal
-        chains = self._logged_stream(tmp_path)
-        recs, snap = self._audited_tail(tmp_path)
-        victim = next(r for r in recs if r["type"] == "round"
-                      and r["lsn"] > snap["lsn"])
-        victim["mv"], victim["st"] = victim["st"], victim["mv"]
-        self._rewrite(tmp_path, recs)
-        report = audit_wal(str(tmp_path), chains)
-        assert not report.ok
-        assert report.divergent_lsn == victim["lsn"]
-        assert "round" in report.reason
-
-    def test_truncated_log_audits_prefix(self, tmp_path):
-        from repro.io.wal import audit_wal
-        chains = self._logged_stream(tmp_path)
-        recs, snap = self._audited_tail(tmp_path)
-        self._rewrite(tmp_path, recs[:-4])       # crash-style truncation
-        report = audit_wal(str(tmp_path), chains)
-        assert report.ok and not report.complete
-
-    def test_deleted_record_detected(self, tmp_path):
-        from repro.io.wal import audit_wal
-        chains = self._logged_stream(tmp_path)
-        recs, snap = self._audited_tail(tmp_path)
-        # excise one audited record mid-trail and renumber so the LSN
-        # chain itself stays plausible — only re-execution can tell
-        victim = next(r for r in recs if r["type"] == "yield"
-                      and r["lsn"] > snap["lsn"])
-        pruned = [r for r in recs if r is not victim]
-        for lsn, rec in enumerate(pruned):
-            rec["lsn"] = lsn
-        self._rewrite(tmp_path, pruned)
-        report = audit_wal(str(tmp_path), chains)
-        assert not report.ok
-
-    def test_short_stream_rejected(self, tmp_path):
-        from repro.io.wal import audit_wal
-        chains = self._logged_stream(tmp_path)
-        # force the audit onto a snapshot taken mid-stream (cursor > 0):
-        # the baseline snapshot would accept any stream prefix
-        recs, snap = self._audited_tail(tmp_path)
-        (tmp_path / snap["file"]).unlink()
-        with pytest.raises(WalError):
-            audit_wal(str(tmp_path), chains[:2])
-        # and with the full stream the late-snapshot audit still passes
-        report = audit_wal(str(tmp_path), chains)
-        assert report.ok
-
-    def test_audit_leaves_log_untouched(self, tmp_path):
-        from repro.io.wal import audit_wal
-        chains = self._logged_stream(tmp_path)
-        before = (tmp_path / "wal.ndjson").read_bytes()
-        snaps_before = sorted(p.name for p in tmp_path.iterdir())
-        audit_wal(str(tmp_path), chains)
-        assert (tmp_path / "wal.ndjson").read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == snaps_before
-
-    def test_resumed_log_audits_after_resume(self, tmp_path):
-        from repro.io.wal import audit_wal
-        rng = random.Random(5)
-        chains = [random_chain(rng.choice([8, 12]), rng)
-                  for _ in range(16)]
-        fleet = FleetKernel([], check_invariants=False)
-        gen = fleet.run_stream(chains, slots=4, release=True,
-                               wal=WalWriter(str(tmp_path)),
-                               snapshot_every=3)
-        for _ in range(5):                       # partial run, then "crash"
-            next(gen)
-        gen.close()
-        list(FleetKernel.resume(str(tmp_path), chains))
-        recs = WalReader(str(tmp_path)).records()
-        assert any(r["type"] == "resume" for r in recs)
-        report = audit_wal(str(tmp_path), chains)
-        assert report.ok and report.complete

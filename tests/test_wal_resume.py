@@ -1,11 +1,13 @@
 """Crash/resume determinism for the WAL streaming tier (DESIGN.md §2.12).
 
 The contract under test: SIGKILL a WAL-enabled stream at any point,
-resume it from the latest snapshot plus log replay, and the combined
+resume it from the latest snapshot by re-execution, and the combined
 output — every result, every per-round report — is bit-identical to
-the uninterrupted run.  Crashes here abandon the generator mid-flight
-(the in-process equivalent of process death; the subprocess SIGKILL
-variant lives in ``scripts/crash_harness.py`` and CI).
+the uninterrupted run.  The log holds only what resume reads:
+``stream_start``, ``snapshot`` and ``yield`` records.  Crashes here
+abandon the generator mid-flight (the in-process equivalent of process
+death; the subprocess SIGKILL variant lives in
+``scripts/crash_harness.py`` and CI).
 """
 
 import gc
@@ -17,7 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import _iter_jsonl_chains, main
 from repro.core.batch import BatchSimulator, gather_stream
 from repro.core.engine_fleet import FleetKernel
 from repro.core.faults import FaultPlan
@@ -27,6 +29,32 @@ from repro.io import WalReader, WalWriter
 
 #: Snapshot meta key of the retired decision-tier knob (older WALs).
 LEGACY_KEY = "numpy_min_runs"
+
+#: The record types a log holds: exactly what resume reads.
+RESUME_TYPES = {"stream_start", "snapshot", "yield"}
+
+#: One record of each type logs used to carry for an audit of the
+#: round effects, with that format's fields; resume never reads them.
+DROPPED_RECORDS = [
+    {"type": "admit", "i": [0, 1], "row": [0, 1], "n": [8, 12],
+     "cursor": 2},
+    {"type": "round", "r": 0, "mv": "hAAA", "rm": "h", "st": "h",
+     "tm": "h"},
+    {"type": "fault", "i": 3, "kind": "perturb"},
+    {"type": "retire", "r": 2, "c": [0], "i": [0], "g": [1]},
+    {"type": "quarantine", "i": 4, "r": 2, "stage": "admit",
+     "error": "ChainError"},
+    {"type": "resume", "snapshot_lsn": 1, "r": 2},
+]
+
+
+@pytest.fixture
+def wal(tmp_path):
+    """A log writer on ``tmp_path``, closed when the test ends:
+    ``run_stream`` never closes a writer it did not open."""
+    writer = WalWriter(str(tmp_path))
+    yield writer
+    writer.close()
 
 
 def _stream_pts(n=60, seed=3):
@@ -80,27 +108,24 @@ def _assert_same(clean, recovered):
 
 
 class TestCrashResume:
-    def test_wal_run_matches_no_wal(self, tmp_path):
+    def test_wal_run_matches_no_wal(self, tmp_path, wal):
         pts = _stream_pts(40)
         clean = _clean_run(pts)
         kernel = FleetKernel([], keep_reports=True)
         walled = dict(kernel.run_stream(
-            iter(pts), slots=8, wal=WalWriter(str(tmp_path)),
-            snapshot_every=16))
+            iter(pts), slots=8, wal=wal, snapshot_every=16))
         _assert_same(clean, walled)
         types = {r["type"] for r in WalReader(str(tmp_path)).records()}
-        assert types == {"stream_start", "snapshot", "admit", "round",
-                         "retire", "yield", "stream_end"}
+        assert types == RESUME_TYPES
 
     @pytest.mark.parametrize("cut", [1, 7, 25, 59])
-    def test_crash_then_resume_bit_identical(self, cut, tmp_path):
+    def test_crash_then_resume_bit_identical(self, cut, tmp_path, wal):
         pts = _stream_pts(60)
         clean = _clean_run(pts)
 
         kernel = FleetKernel([], keep_reports=True)
         gen = kernel.run_stream(iter(pts), slots=8,
-                                wal=WalWriter(str(tmp_path)),
-                                snapshot_every=5)
+                                wal=wal, snapshot_every=5)
         results = {}
         for _ in range(cut):
             ext, res = next(gen)
@@ -110,16 +135,46 @@ class TestCrashResume:
         _, resumed = FleetKernel.restore_stream(str(tmp_path), iter(pts))
         _collect_dedup(results, resumed)
         _assert_same(clean, results)
+        types = {r["type"] for r in WalReader(str(tmp_path)).records()}
+        assert types == RESUME_TYPES
 
-    def test_legacy_snapshot_meta_key_restores(self, tmp_path):
+    def test_previous_format_log_resumes(self, tmp_path, wal):
+        # logs written before the resume-only format interleave audit
+        # records between the ones resume reads; resume skips them,
+        # so such a log continues bit-identically, reports included
+        pts = _stream_pts(40, seed=11)
+        clean = _clean_run(pts)
+        kernel = FleetKernel([], keep_reports=True)
+        gen = kernel.run_stream(iter(pts), slots=8, wal=wal,
+                                snapshot_every=4)
+        results = dict(next(gen) for _ in range(9))
+        gen.close()
+
+        recs = WalReader(str(tmp_path)).records()
+        old = []
+        for rec in recs:
+            old.append(rec)
+            old.extend({"format": "repro.wal", "version": 1, **extra}
+                       for extra in DROPPED_RECORDS)
+        with open(tmp_path / "wal.ndjson", "w") as fh:
+            for lsn, rec in enumerate(old):
+                fh.write(json.dumps({**rec, "lsn": lsn},
+                                    separators=(",", ":")) + "\n")
+        assert {r["type"] for r in WalReader(str(tmp_path)).records()} \
+            == RESUME_TYPES | {d["type"] for d in DROPPED_RECORDS}
+
+        _, resumed = FleetKernel.restore_stream(str(tmp_path), iter(pts))
+        _collect_dedup(results, resumed)
+        _assert_same(clean, results)
+
+    def test_legacy_snapshot_meta_key_restores(self, tmp_path, wal):
         # snapshots written while the kernel still had a decision-tier
         # knob carry its meta key; resume ignores the key
         pts = _stream_pts(40)
         clean = _clean_run(pts)
         kernel = FleetKernel([], keep_reports=True)
         gen = kernel.run_stream(iter(pts), slots=8,
-                                wal=WalWriter(str(tmp_path)),
-                                snapshot_every=5)
+                                wal=wal, snapshot_every=5)
         results = {}
         for _ in range(11):
             ext, res = next(gen)
@@ -141,15 +196,14 @@ class TestCrashResume:
         _collect_dedup(results, resumed)
         _assert_same(clean, results)
 
-    def test_double_crash(self, tmp_path):
+    def test_double_crash(self, tmp_path, wal):
         pts = _stream_pts(80, seed=9)
         clean = _clean_run(pts)
         results = {}
 
         kernel = FleetKernel([], keep_reports=True)
         gen = kernel.run_stream(iter(pts), slots=8,
-                                wal=WalWriter(str(tmp_path)),
-                                snapshot_every=7)
+                                wal=wal, snapshot_every=7)
         for _ in range(13):
             ext, res = next(gen)
             results[ext] = res
@@ -165,7 +219,7 @@ class TestCrashResume:
         _collect_dedup(results, gen)
         _assert_same(clean, results)
 
-    def test_faulty_stream_resumes_identically(self, tmp_path):
+    def test_faulty_stream_resumes_identically(self, tmp_path, wal):
         pts = _stream_pts(60, seed=5)
         faults = FaultPlan(seed=7, crash=0.1, perturb=0.2, mutations=3)
         clean = _clean_run(pts, faults=faults)
@@ -173,8 +227,7 @@ class TestCrashResume:
 
         kernel = FleetKernel([], keep_reports=True)
         gen = kernel.run_stream(iter(pts), slots=8,
-                                wal=WalWriter(str(tmp_path)),
-                                snapshot_every=6, faults=faults)
+                                wal=wal, snapshot_every=6, faults=faults)
         results = {}
         for _ in range(11):
             ext, res = next(gen)
@@ -187,12 +240,11 @@ class TestCrashResume:
         _collect_dedup(results, gen)
         _assert_same(clean, results)
 
-    def test_resume_reconsumes_iterator_from_cursor(self, tmp_path):
+    def test_resume_reconsumes_iterator_from_cursor(self, tmp_path, wal):
         pts = _stream_pts(30, seed=2)
         kernel = FleetKernel([], keep_reports=True)
         gen = kernel.run_stream(iter(pts), slots=4,
-                                wal=WalWriter(str(tmp_path)),
-                                snapshot_every=3)
+                                wal=wal, snapshot_every=3)
         for _ in range(5):
             next(gen)
         gen.close()
@@ -226,12 +278,11 @@ class TestResumeErrors:
         with pytest.raises(WalError):
             FleetKernel.restore_stream(str(tmp_path), iter([]))
 
-    def test_resume_with_short_stream(self, tmp_path):
+    def test_resume_with_short_stream(self, tmp_path, wal):
         pts = _stream_pts(20, seed=4)
         kernel = FleetKernel([], keep_reports=True)
         gen = kernel.run_stream(iter(pts), slots=4,
-                                wal=WalWriter(str(tmp_path)),
-                                snapshot_every=2)
+                                wal=wal, snapshot_every=2)
         for _ in range(6):
             next(gen)
         gen.close()
@@ -278,21 +329,18 @@ class TestBatchWiring:
         stats = sim2.last_stream_stats
         assert "fault_crashed" in stats and "fault_perturbed" in stats
 
-    def test_wal_multiprocess_keeps_reports(self, tmp_path):
+    def test_multiprocess_keeps_reports(self):
         # the shards ship per-round reports with their results, so a
-        # 2-worker WAL stream keeps them, equal to the in-process ones
+        # 2-worker stream keeps them, equal to the in-process ones
         pts = _stream_pts(12, seed=9)
         solo = dict(BatchSimulator([], engine="kernel")
                     .run_stream(iter(pts), slots=4))
         sharded = dict(BatchSimulator([], engine="kernel", workers=2)
-                       .run_stream(iter(pts), slots=4,
-                                   wal_dir=str(tmp_path)))
+                       .run_stream(iter(pts), slots=4))
         assert sorted(sharded) == sorted(solo)
         for ext in solo:
             assert solo[ext].reports
             assert sharded[ext].reports == solo[ext].reports
-        assert sorted(p.name for p in tmp_path.iterdir()) == \
-            ["shard-0", "shard-1"]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="lists descriptors through /proc")
@@ -344,13 +392,14 @@ class TestBatchWiring:
         # leaving a partially-written out file with a torn last line
         wal_dir = tmp_path / "wal"
         kernel = FleetKernel([], keep_reports=False)
+        writer = WalWriter(str(wal_dir))
         gen = kernel.run_stream(
-            (list(p) for p in pts), slots=6,
-            wal=WalWriter(str(wal_dir)), snapshot_every=4)
+            (list(p) for p in pts), slots=6, wal=writer, snapshot_every=4)
         out = tmp_path / "out.ndjson"
         clean_lines = clean.read_text().splitlines(keepends=True)
         delivered = [ext for _, (ext, _res) in zip(range(7), gen)]
         gen.close()
+        writer.close()
         by_idx = {json.loads(l)["chain"]: l for l in clean_lines}
         partial = "".join(by_idx[e] for e in delivered[:-1])
         out.write_text(partial + by_idx[delivered[-1]][:-10])  # torn
@@ -358,6 +407,40 @@ class TestBatchWiring:
         assert main(["batch", "--stream", str(jl), "--slots", "6",
                      "--wal", str(wal_dir), "--resume",
                      "--out", str(out)]) == 0
+        assert out.read_bytes() == clean.read_bytes()
+        capsys.readouterr()
+
+    def test_cli_resume_skips_bad_lines_like_the_run_did(self, tmp_path,
+                                                          capsys):
+        # an unparseable line consumes no stream index, on the killed
+        # run and on its resume alike: resume fast-forwards the same
+        # filtered stream, so the finished --out matches a clean run's
+        pts = _stream_pts(24, seed=15)
+        lines = [json.dumps([list(p) for p in c]) for c in pts]
+        lines[3:3] = ["not json"]
+        jl = tmp_path / "chains.jsonl"
+        jl.write_text("\n".join(lines) + "\n")
+        flags = ["--slots", "4", "--skip-bad-lines", "--dead-letter",
+                 str(tmp_path / "dead.ndjson")]
+        clean = tmp_path / "clean.ndjson"
+        assert main(["batch", "--stream", str(jl), "--out", str(clean)]
+                    + flags) == 2                 # 2: a line was skipped
+
+        wal_dir = tmp_path / "wal"
+        writer = WalWriter(str(wal_dir))
+        gen = FleetKernel([], keep_reports=False).run_stream(
+            _iter_jsonl_chains(str(jl), skip_bad=True), slots=4,
+            wal=writer, snapshot_every=2)
+        delivered = [ext for _, (ext, _res) in zip(range(9), gen)]
+        gen.close()
+        writer.close()
+        by_idx = {json.loads(l)["chain"]: l for l in
+                  clean.read_text().splitlines(keepends=True)}
+        out = tmp_path / "out.ndjson"
+        out.write_text("".join(by_idx[e] for e in delivered))
+
+        assert main(["batch", "--stream", str(jl), "--wal", str(wal_dir),
+                     "--resume", "--out", str(out)] + flags) == 2
         assert out.read_bytes() == clean.read_bytes()
         capsys.readouterr()
 
@@ -378,11 +461,12 @@ class TestBatchWiring:
         jl.write_text("")
         with pytest.raises(SystemExit):
             main(["batch", "--stream", str(jl), "--resume"])
-        # --wal with --workers is the sharded supervision tier now;
-        # only top-level --resume stays single-process
-        with pytest.raises(SystemExit):
-            main(["batch", "--stream", str(jl), "--wal",
-                  str(tmp_path / "w"), "--workers", "2", "--resume"])
+        # --wal logs an in-process stream: the shard workers keep no
+        # WAL, so --wal with --workers is refused, resumed or not
+        for extra in ([], ["--resume"]):
+            with pytest.raises(SystemExit):
+                main(["batch", "--stream", str(jl), "--wal",
+                      str(tmp_path / "w"), "--workers", "2"] + extra)
         with pytest.raises(SystemExit):
             main(["batch", "--stream", str(jl), "--skip-bad-lines"])
         with pytest.raises(SystemExit):
